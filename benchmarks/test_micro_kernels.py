@@ -1,17 +1,17 @@
-"""Kernel micro-benchmark: scalar vs kernel on the semi-external hot loops.
+"""Kernel micro-benchmark: reference vs kernel on the hot loops.
 
-The two CPU paths the kernel layer (`repro.kernels`) vectorizes:
+The CPU paths the kernel layer (`repro.kernels`) replaces:
 
 * **frontier propagation** — one Jacobi staging pass
   (:meth:`~repro.kernels.ReachabilityKernel.stage_pass`) over a million
   edges, the inner loop of every FW-BW-family reachability round; the
   fast form is numpy boolean-mask gathering/scattering;
-* **unkeyed 2-way merge** — :func:`repro.kernels.merge_two_unkeyed` over
-  two half-million-record sorted runs, the most common merge shape of
-  the external sort; the fast form is the chunked concatenate-and-sort
-  merge (Timsort's C galloping run-merge — see
-  :mod:`repro.kernels.merge` for why numpy loses here), gated by the
-  same ``REPRO_NUMPY`` switch.
+* **K-way merge** — :func:`repro.kernels.merge_batches` against its
+  reference :func:`heapq.merge` over a million records, once as two
+  half-million-record runs (``merge2``) and once as 14 runs (``merge14``,
+  the fan-in of the L1 rung's sorts); the fast form is the chunked
+  concatenate-and-sort merge (Timsort's C galloping run-merge — see
+  :mod:`repro.kernels.merge` for why numpy loses here).
 
 Each op is timed scalar vs kernel in paired back-to-back rounds (the
 :mod:`test_micro_codecs` pattern: shared-CI noise arrives in bursts, and
@@ -21,13 +21,15 @@ asserted before any timing is trusted, so the ratios can never be bought
 with a semantic change.
 
 Gates: the kernel path must be at least ``2×`` faster in aggregate
-across the two kernels, and at least ``1.3×`` faster for each
+across the kernels, and at least ``1.3×`` faster for each
 individually.  Results land in ``benchmarks/results/micro_kernels.txt``.
 """
 
 import gc
+import heapq
 import random
 import time
+from itertools import chain
 
 import pytest
 
@@ -38,7 +40,8 @@ from repro.kernels.reachability import _NumpyReachability, _ScalarReachability
 
 NUM_EDGES = 1_000_000
 NUM_NODES = 200_000
-MERGE_RECORDS = 500_000  # per side
+MERGE_RECORDS = 1_000_000  # per merge, split evenly over its runs
+WIDE_FAN_IN = 14  # the L1 rung's merge fan-in
 BLOCK_RECORDS = 2048  # edges per simulated block handed to the kernel
 AGGREGATE_GATE = 2.0  # kernels must be at least this much faster overall
 KERNEL_FLOOR = 1.3  # and clearly win on each kernel individually
@@ -72,14 +75,14 @@ def _edge_blocks():
     ]
 
 
-def _sorted_runs():
+def _sorted_runs(fan_in):
     rng = random.Random(7)
     span = 1 << 22
     make = lambda: sorted(
         (rng.randint(0, span), rng.randint(0, span))
-        for _ in range(MERGE_RECORDS)
+        for _ in range(MERGE_RECORDS // fan_in)
     )
-    return make(), make()
+    return [make() for _ in range(fan_in)]
 
 
 def _timed(fn):
@@ -130,23 +133,21 @@ def _measure_propagation(blocks):
     return t_scalar, t_kernel
 
 
-def _measure_merge(left, right):
-    from repro.kernels.merge import _merge_two_chunked, _merge_two_scalar
-
+def _measure_merge(runs):
     s_out, n_out, t_scalar, t_kernel = _paired(
-        lambda: list(_merge_two_scalar(iter(left), iter(right))),
-        lambda: list(_merge_two_chunked(iter(left), iter(right))),
+        lambda: list(heapq.merge(*runs)),
+        lambda: list(chain.from_iterable(kernels.merge_batches(runs))),
     )
-    assert n_out == s_out, "chunked merge diverged from scalar"
+    assert n_out == s_out, "chunked merge diverged from heapq.merge"
     return t_scalar, t_kernel
 
 
 def _run_all():
     blocks = _edge_blocks()
-    left, right = _sorted_runs()
     return {
         "propagate": _measure_propagation(blocks),
-        "merge2": _measure_merge(left, right),
+        "merge2": _measure_merge(_sorted_runs(2)),
+        f"merge{WIDE_FAN_IN}": _measure_merge(_sorted_runs(WIDE_FAN_IN)),
     }
 
 
@@ -157,12 +158,13 @@ def _mrps(count, seconds):
 
 def test_micro_kernels_beat_scalar(benchmark):
     results = benchmark.pedantic(_run_all, rounds=1, iterations=1)
-    volumes = {"propagate": NUM_EDGES, "merge2": 2 * MERGE_RECORDS}
+    volumes = {name: MERGE_RECORDS for name in results}
+    volumes["propagate"] = NUM_EDGES
 
     lines = [
         "Kernel micro-benchmark — scalar vs kernel "
-        f"({NUM_EDGES:,} edges propagated, {2 * MERGE_RECORDS:,} records "
-        "merged)",
+        f"({NUM_EDGES:,} edges propagated, {MERGE_RECORDS:,} records "
+        "per merge; the merges' scalar column is heapq.merge)",
         f"{'kernel':<12} {'scalar':>12} {'kernel':>12} "
         f"{'scalar':>10} {'kernel':>10} {'ratio':>7}",
         f"{'':<12} {'s':>12} {'s':>12} "

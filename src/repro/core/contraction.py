@@ -44,7 +44,7 @@ from repro.io.codecs import RecordStore, create_record_file, record_file_from_re
 from repro.io.join import anti_join, cogroup, lookup_join, semi_join
 from repro.io.memory import MemoryBudget
 from repro.io.parallel import shard_ranges
-from repro.io.sort import KEY_DST_SRC, KEY_SRC_DST, external_sort_records, external_sort_stream
+from repro.io.sort import KEY_DST_SRC, KEY_DST_SRC_AUX, KEY_DST_SRC_AUX2, KEY_SRC_DST, external_sort_records, external_sort_stream
 from repro.plan import (
     Dedupe,
     ExtPlan,
@@ -346,10 +346,15 @@ def get_v(
 
     # E_d step 2, fused: the build join feeds the by-v sort's run formation
     # directly, and the sorted stream feeds the cover scan — neither E_d
-    # copy (pre- or post-sort) is materialized.
+    # copy (pre- or post-sort) is materialized.  The key orders by (v, u)
+    # and then by the degree fields; deg_u (and prod_u) are functions of
+    # u, so records with equal (v, u) are equal records and the order is
+    # byte-identical to a stable (v, u) sort.  Being a permutation of
+    # every field, it takes the lean (undecorated) run formation.
     ed2_stream = external_sort_stream(
         device, ed1_records(), 8 + 4 * info_width, memory,
-        key=KEY_DST_SRC, sort_field=1,
+        key=KEY_DST_SRC_AUX2 if config.product_operator else KEY_DST_SRC_AUX,
+        sort_field=1,
     )
 
     # E_d step 3 + cover scan fused: augment deg(v) and pick the larger

@@ -55,6 +55,17 @@ class StorageError(ReproError):
     after close, record wider than a block, ...)."""
 
 
+class EdgeListFormatError(ReproError, ValueError):
+    """An edge-list input file is malformed: a line that is not two node
+    ids, a token that is not a non-negative integer, an id outside the
+    4-byte range the I/O accounting assumes, or a truncated binary record.
+
+    The message names the file and line (or byte offset) and the bad
+    token.  Also a :class:`ValueError`, the error the readers raised
+    before this type existed.
+    """
+
+
 class SimulatedCrash(ReproError):
     """Raised by a :class:`~repro.recovery.fault.FaultInjector` at its
     scheduled block-I/O ordinal or phase.

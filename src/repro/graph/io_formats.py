@@ -10,6 +10,11 @@ Two interchange formats are supported:
 These operate on the *real* filesystem and convert to/from the in-simulator
 :class:`~repro.graph.edge_file.EdgeFile`; they let examples persist generated
 workloads and let users bring their own graphs.
+
+Node ids are unsigned 4-byte integers, ``[0, 2**32)`` — the width the I/O
+accounting charges per id.  The readers reject anything else with an
+:class:`~repro.exceptions.EdgeListFormatError` naming the file, the line
+(or byte offset) and the bad token.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ import struct
 from pathlib import Path
 from typing import Iterable, Iterator, Tuple, Union
 
+from repro.exceptions import EdgeListFormatError
 from repro.io.blocks import BlockDevice
 from repro.graph.edge_file import EdgeFile
 
@@ -35,6 +41,8 @@ PathLike = Union[str, Path]
 
 _EDGE_STRUCT = struct.Struct("<II")
 
+_NODE_ID_LIMIT = 1 << 32  # ids are unsigned 4-byte integers
+
 
 def write_edge_text(path: PathLike, edges: Iterable[Edge]) -> int:
     """Write edges as ``u v`` lines; returns the number of edges written."""
@@ -46,17 +54,38 @@ def write_edge_text(path: PathLike, edges: Iterable[Edge]) -> int:
     return count
 
 
+def _node_id(token: bytes, path: PathLike, lineno: int) -> int:
+    """Parse one node-id token of a text edge list."""
+    if token.isdigit():
+        node = int(token)
+        if node < _NODE_ID_LIMIT:
+            return node
+    if token.removeprefix(b"-").isdigit():
+        problem = "outside [0, 2**32)"
+    else:
+        problem = "not a non-negative integer"
+    text = token.decode("ascii", "backslashreplace")
+    raise EdgeListFormatError(f"{path}:{lineno}: node id {text!r} is {problem}")
+
+
 def read_edge_text(path: PathLike) -> Iterator[Edge]:
-    """Stream edges from a ``u v`` text file, skipping blanks and ``#`` lines."""
-    with open(path, "r", encoding="ascii") as f:
+    """Stream edges from a ``u v`` text file, skipping blanks and ``#`` lines.
+
+    Raises:
+        EdgeListFormatError: a line is not exactly two node ids in
+            ``[0, 2**32)`` (non-ASCII bytes included).
+    """
+    with open(path, "rb") as f:
         for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
             parts = line.split()
+            if not parts or parts[0].startswith(b"#"):
+                continue
             if len(parts) != 2:
-                raise ValueError(f"{path}:{lineno}: expected 'u v', got {line!r}")
-            yield int(parts[0]), int(parts[1])
+                text = line.strip().decode("ascii", "backslashreplace")
+                raise EdgeListFormatError(
+                    f"{path}:{lineno}: expected 'u v', got {text!r}"
+                )
+            yield _node_id(parts[0], path, lineno), _node_id(parts[1], path, lineno)
 
 
 def write_edge_binary(path: PathLike, edges: Iterable[Edge]) -> int:
@@ -70,14 +99,24 @@ def write_edge_binary(path: PathLike, edges: Iterable[Edge]) -> int:
 
 
 def read_edge_binary(path: PathLike) -> Iterator[Edge]:
-    """Stream edges from a packed ``<II`` binary file."""
+    """Stream edges from a packed ``<II`` binary file.
+
+    The unsigned 4-byte fields cannot hold an id outside ``[0, 2**32)``,
+    so the only malformed input is a trailing partial record.
+
+    Raises:
+        EdgeListFormatError: the file ends inside a record.
+    """
     with open(path, "rb") as f:
         while True:
             chunk = f.read(_EDGE_STRUCT.size)
             if not chunk:
                 return
             if len(chunk) != _EDGE_STRUCT.size:
-                raise ValueError(f"{path}: truncated edge record at end of file")
+                raise EdgeListFormatError(
+                    f"{path}: truncated edge record at byte "
+                    f"{f.tell() - len(chunk)} ({len(chunk)} of {_EDGE_STRUCT.size} bytes)"
+                )
             yield _EDGE_STRUCT.unpack(chunk)  # type: ignore[misc]
 
 

@@ -40,6 +40,8 @@ from repro.kernels import sort_records
 __all__ = [
     "KEY_DST_AUX_SRC",
     "KEY_DST_SRC",
+    "KEY_DST_SRC_AUX",
+    "KEY_DST_SRC_AUX2",
     "KEY_SRC_DST",
     "form_runs",
     "form_runs_replacement_selection",
@@ -61,15 +63,25 @@ KEY_SRC_DST = itemgetter(0, 1)
 """Sort 2-field edge records by (src, dst) explicitly."""
 KEY_DST_AUX_SRC = itemgetter(1, 2, 0)
 """Sort 3-field records by (field 1, field 2, field 0)."""
+KEY_DST_SRC_AUX = itemgetter(1, 0, 2)
+"""Sort 3-field records by (field 1, field 0, field 2)."""
+KEY_DST_SRC_AUX2 = itemgetter(1, 0, 2, 3)
+"""Sort 4-field records by (field 1, field 0, field 2, field 3)."""
 
-_INJECTIVE_KEY_ARITY = {KEY_DST_SRC: 2, KEY_SRC_DST: 2, KEY_DST_AUX_SRC: 3}
+_KEY_COLUMNS = {
+    KEY_DST_SRC: (1, 0),
+    KEY_SRC_DST: (0, 1),
+    KEY_DST_AUX_SRC: (1, 2, 0),
+    KEY_DST_SRC_AUX: (1, 0, 2),
+    KEY_DST_SRC_AUX2: (1, 0, 2, 3),
+}
+"""The registered permutation keys as column priorities, for the
+vectorized whole-buffer sort (:func:`repro.kernels.sort_records`)."""
+
+_INJECTIVE_KEY_ARITY = {key: len(cols) for key, cols in _KEY_COLUMNS.items()}
 """Registered injective keys → the record arity they permute.  Records in
 one store are uniform-arity (fixed-width decode derives the field count
 from ``record_size``), so checking the first record's arity is enough."""
-
-_KEY_COLUMNS = {KEY_DST_SRC: (1, 0), KEY_SRC_DST: (0, 1), KEY_DST_AUX_SRC: (1, 2, 0)}
-"""The registered permutation keys as column priorities, for the
-vectorized whole-buffer sort (:func:`repro.kernels.sort_records`)."""
 
 _KEY_INVERSE: dict = {}
 for _key, _cols in _KEY_COLUMNS.items():

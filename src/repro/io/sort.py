@@ -28,19 +28,20 @@ Merge passes are reported to the device's :class:`~repro.io.stats.IOStats`
 the replacement-selection claim directly.
 
 Both ends of the sort ride the *batch record path*: run formation stages
-its output in chunks, and merge output streams into
-``RecordStore.extend``, which materializes generator input
-``BATCH_CHUNK`` records at a time and hands each slice to the
-block-granularity codec encoders (:mod:`repro.io.codecs`).  The batching
-is purely a host-CPU optimization — block cuts, codec chains, and every
-ledger counter are identical to per-record appends, which is what the
-batch/scalar equivalence suite pins down.
+its output in chunks, and every merge — any fan-in, keyed or not — is the
+kernel layer's chunked K-way merge (:func:`repro.kernels.merge_batches`),
+whose record batches are flattened in C (``chain.from_iterable``) into
+``RecordStore.extend`` or the fused consumer, never resuming a Python
+generator per record.  The batching is purely a host-CPU optimization —
+block cuts, codec chains, and every ledger counter are identical to
+per-record appends, which is what the batch/scalar equivalence suite pins
+down.
 """
 
 from __future__ import annotations
 
 import heapq
-from itertools import groupby
+from itertools import chain, groupby
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, List, Optional, Tuple, Union
 
@@ -51,15 +52,20 @@ from repro.io.memory import MemoryBudget
 from repro.io.runs import (
     KEY_DST_AUX_SRC,
     KEY_DST_SRC,
+    KEY_DST_SRC_AUX,
+    KEY_DST_SRC_AUX2,
     KEY_SRC_DST,
     form_runs,
     form_runs_replacement_selection,
 )
-from repro.kernels import merge_two_keyed, merge_two_unkeyed
+from repro.kernels import merge_batches
+from repro.kernels.merge import _chunked_active
 
 __all__ = [
     "KEY_DST_AUX_SRC",
     "KEY_DST_SRC",
+    "KEY_DST_SRC_AUX",
+    "KEY_DST_SRC_AUX2",
     "KEY_SRC_DST",
     "external_sort",
     "external_sort_records",
@@ -176,25 +182,56 @@ def external_sort_stream(
     ``external_sort_records`` + ``scan()``, the fused boundary saves one
     sequential write pass and one sequential read pass over the data.
 
-    Run files are deleted when the stream is exhausted or closed, so
-    abandoning the iterator early does not leak simulated disk space.
+    The final merge's batches are flattened in C (``chain.from_iterable``),
+    so a consumer pulls records without a Python generator resumption per
+    record.  Run files are deleted when the stream is exhausted or closed,
+    so abandoning the iterator early does not leak simulated disk space.
     """
-    runs, _ = _form_and_reduce_runs(
-        device, records, record_size, memory, key, run_formation, codec, sort_field
-    )
-    if not runs:
-        return
-    try:
-        if len(runs) > 1:
-            device.stats.record_merge_pass()
-        merged = merge_runs((run.scan() for run in runs), key=key)
-        if unique:
-            merged = sorted_unique_scan(merged)
-        yield from merged
-    finally:
-        for run in runs:
-            if device.exists(run.name):
-                run.delete()
+
+    def final_merge() -> Iterator[Iterator[Record]]:
+        # Yields the final merge as one record iterator; resuming the
+        # generator after it is drained (or closing it) deletes the runs.
+        runs, _ = _form_and_reduce_runs(
+            device, records, record_size, memory, key, run_formation, codec, sort_field
+        )
+        if not runs:
+            return
+        try:
+            if len(runs) > 1:
+                device.stats.record_merge_pass()
+            yield merge_runs((run.scan() for run in runs), key=key)
+        finally:
+            for run in runs:
+                if device.exists(run.name):
+                    run.delete()
+
+    return _SortedStream(final_merge(), unique)
+
+
+class _SortedStream:
+    """The records of a streaming sort's final merge, with the generator
+    protocol's ``close()``.
+
+    ``iter()`` hands out the ``chain.from_iterable`` flattener itself, so
+    a ``for`` loop, ``islice`` or join pulls records in C; ``close()``
+    closes the generator, which deletes the run files.
+    """
+
+    __slots__ = ("_merges", "_records")
+
+    def __init__(self, merges: Iterator[Iterator[Record]], unique: bool) -> None:
+        self._merges = merges
+        records = chain.from_iterable(merges)
+        self._records = sorted_unique_scan(records) if unique else records
+
+    def __iter__(self) -> Iterator[Record]:
+        return self._records
+
+    def __next__(self) -> Record:
+        return next(self._records)
+
+    def close(self) -> None:
+        self._merges.close()
 
 
 def external_sort_records(
@@ -275,24 +312,19 @@ def _merge_pass(
 def merge_runs(
     streams: Iterable[Iterator[Record]], key: Optional[KeyFn] = None
 ) -> Iterator[Record]:
-    """K-way merge of sorted record streams (an in-memory heap of heads).
+    """K-way merge of sorted record streams; on a tie the *earlier* stream
+    wins, exactly :func:`heapq.merge`'s contract.
 
-    Small fan-ins are special-cased: one stream needs no merge at all and
-    two streams merge faster through the kernel layer's dedicated 2-way
-    merges — chunked Timsort galloping when the kernel fast path is
-    active, a direct two-pointer loop otherwise — than through the
-    generic heap (stability is preserved — on a tie the *earlier* stream
-    wins, exactly :func:`heapq.merge`'s contract).
+    One stream needs no merge at all.  Every fan-in from two up runs
+    through the kernel layer's chunked merge (:func:`merge_batches`,
+    flattened in C) when a fast path is active, else through
+    :func:`heapq.merge`, the byte-identical reference.
     """
     streams = list(streams)
     if len(streams) == 1:
         return iter(streams[0])
-    if len(streams) == 2:
-        if key is None:
-            return merge_two_unkeyed(streams[0], streams[1])
-        return merge_two_keyed(streams[0], streams[1], key)
-    if key is None:
-        return heapq.merge(*streams)
+    if _chunked_active():
+        return chain.from_iterable(merge_batches(streams, key))
     return heapq.merge(*streams, key=key)
 
 

@@ -11,8 +11,12 @@ arithmetic:
 
 * :mod:`repro.kernels.reachability` — frontier propagation for the FW-BW
   solver family (single-bit and multi-source bitset-column variants).
-* :mod:`repro.kernels.merge` — the fits-in-memory sort and the unkeyed
-  2-way merge of the external sort.
+* :mod:`repro.kernels.merge` — the fits-in-memory sort (numpy lexsort
+  over the record's own columns or a registered permutation key, such as
+  Get-V's all-field ``(dst, src, deg[, prod])`` keys) and the one chunked
+  K-way merge (:func:`merge_batches`) behind every fan-in of the external
+  sort, which yields record *batches* so the sort layer can flatten its
+  output in C; :func:`heapq.merge` stays the reference.
 
 This package is also the single home of the ``REPRO_NUMPY`` feature
 flag.  :mod:`repro.io.codecs` (the first numpy consumer) delegates here,
@@ -41,8 +45,7 @@ from repro.kernels._flags import (
 )
 from repro.kernels.merge import (
     MERGE_CHUNK,
-    merge_two_keyed,
-    merge_two_unkeyed,
+    merge_batches,
     sort_records,
 )
 from repro.kernels.reachability import (
@@ -58,8 +61,7 @@ __all__ = [
     "requested",
     "set_enabled",
     "MERGE_CHUNK",
-    "merge_two_keyed",
-    "merge_two_unkeyed",
+    "merge_batches",
     "sort_records",
     "RESOLVED",
     "ReachabilityKernel",

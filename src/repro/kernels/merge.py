@@ -9,25 +9,24 @@ record shuffling with no I/O of their own:
   order or a registered column permutation.  The win over the scalar
   path is largest for keyed sorts, where the scalar ``list.sort`` pays a
   Python key-function call per record;
-* the **unkeyed 2-way merge** — the most common merge shape (two runs,
-  records compare as their own tuples), replaced by a chunked
-  concatenate-and-stable-sort merge (:func:`merge_two_unkeyed`).  The
-  bulk operation here is deliberately *not* numpy: ``sorted`` over the
-  two concatenated chunks hits Timsort's C galloping run-merge, which
-  measures ~2x faster than the scalar two-pointer loop, while any
-  tuple↔ndarray round trip costs more per record than the whole scalar
-  merge.  Because the chunked merge is batch-granularity *host* work —
-  the same trade the batch record path makes — it activates whenever
-  either fast-path switch (``REPRO_NUMPY`` or ``REPRO_BATCH_IO``) is
-  on, and the scalar two-pointer loops remain the byte-identical
-  reference.
+* the **K-way merge** — every merge of the external sort, at any fan-in,
+  keyed or not, runs through one chunked galloping merge
+  (:func:`merge_batches`) that hands back *batches* of merged records.
+  The bulk operation is deliberately *not* numpy: one stable
+  ``list.sort`` over the concatenated stream prefixes hits Timsort's C
+  galloping run-merge, while any tuple↔ndarray round trip costs more per
+  record than the whole merge.  Because the chunked merge is
+  batch-granularity *host* work — the same trade the batch record path
+  makes — callers use it whenever either fast-path switch
+  (``REPRO_NUMPY`` or ``REPRO_BATCH_IO``) is on (:func:`_chunked_active`),
+  and :func:`heapq.merge` remains the byte-identical reference.
 
-Both kernels are *output-identical* to their scalar counterparts,
-including the stability contract (ties emit the left/earlier stream
-first — the stable sorts see the left chunk before the right chunk).
-Chunking reads ahead up to :data:`MERGE_CHUNK` records per stream, which
-reorders *host* work only: every simulated block is still read exactly
-once, in the same scan, so the I/O ledger cannot move.
+Both kernels are *output-identical* to their references, including the
+stability contract (on a tie the earlier stream wins — the stable sort
+sees the streams' prefixes in stream order).  Chunking reads ahead up to
+:data:`MERGE_CHUNK` records across the streams, which reorders *host*
+work only: every simulated block is still read exactly once, in the same
+scan, so the I/O ledger cannot move.
 
 Records that do not fit the sort kernel's vector form (ragged arity,
 non-integers, values beyond int64) make :func:`sort_records` fall back
@@ -45,9 +44,9 @@ from repro.kernels import _flags
 
 __all__ = [
     "MERGE_CHUNK",
+    "MERGE_CHUNK_MIN",
     "SORT_MIN",
-    "merge_two_keyed",
-    "merge_two_unkeyed",
+    "merge_batches",
     "sort_records",
 ]
 
@@ -55,17 +54,19 @@ Record = Tuple[int, ...]
 KeyFn = Callable[[Record], object]
 
 MERGE_CHUNK = 4096
-"""Records read ahead per stream and merged per chunk step."""
+"""Records a K-way merge reads ahead across all its streams."""
+
+MERGE_CHUNK_MIN = 256
+"""Per-stream floor on the merge chunk, so a wide fan-in still emits
+batches large enough to amortize one step's bisects and sort call."""
 
 SORT_MIN = 1024
 """Below this many records the conversion overhead beats the lexsort win
 (pure heuristic — both paths produce identical output)."""
 
-_DONE = object()
-
 
 def _chunked_active() -> bool:
-    """Whether the chunked (batch-granularity) merges should dispatch.
+    """Whether the chunked (batch-granularity) merge should dispatch.
 
     The chunked merge needs no numpy — it is bulk host-side record work,
     the same trade the batch record path makes — so either fast-path
@@ -151,193 +152,67 @@ def sort_records(
     return _rows(np, arr[order])
 
 
-def merge_two_unkeyed(
-    left: Iterable[Record], right: Iterable[Record]
-) -> Iterator[Record]:
-    """Stable unkeyed two-way merge; ties emit the left stream first.
-
-    Dispatches to the chunked galloping merge when either fast path
-    (numpy kernels or the batch record path) is active, else to the
-    classic two-pointer loop.  Output is identical either way.
-    """
-    if _chunked_active():
-        return _merge_two_chunked(left, right)
-    return _merge_two_scalar(left, right)
-
-
-def _merge_two_chunked(
-    left: Iterable[Record], right: Iterable[Record]
-) -> Iterator[Record]:
-    """Record-stream view of :func:`_merge_two_batches`.
-
-    ``chain.from_iterable`` flattens the batches in C — one generator
-    resumption per chunk instead of per record, which is worth ~40% of
-    the whole merge at :data:`MERGE_CHUNK` scale.
-    """
-    return chain.from_iterable(_merge_two_batches(iter(left), iter(right)))
-
-
-def _merge_two_scalar(
-    left: Iterable[Record], right: Iterable[Record]
-) -> Iterator[Record]:
-    """The classic stable two-pointer merge (the scalar reference)."""
-    left = iter(left)
-    right = iter(right)
-    l = next(left, _DONE)
-    r = next(right, _DONE)
-    while l is not _DONE and r is not _DONE:
-        if r < l:  # type: ignore[operator]
-            yield r
-            r = next(right, _DONE)
-        else:
-            yield l
-            l = next(left, _DONE)
-    while l is not _DONE:
-        yield l
-        l = next(left, _DONE)
-    while r is not _DONE:
-        yield r
-        r = next(right, _DONE)
-
-
-def _fill(stream: Iterator[Record]) -> List[Record]:
-    return list(islice(stream, MERGE_CHUNK))
-
-
-def _merge_two_batches(
-    left: Iterator[Record], right: Iterator[Record]
+def merge_batches(
+    streams: Iterable[Iterable[Record]], key: Optional[KeyFn] = None
 ) -> Iterator[List[Record]]:
-    """Chunked bulk merge via Timsort's galloping run-merge; yields
-    *batches* of merged records.
+    """Stable K-way merge of sorted streams, yielded as record *batches*.
 
-    Each step sorts the concatenation of the live chunks (left first, so
-    the stable sort resolves ties left-first — Timsort recognizes the
-    two pre-sorted runs and merges them in C with galloping), then emits
-    the prefix that can no longer be disturbed and retains the rest as
-    the survivor side's live chunk:
+    Output-identical to :func:`heapq.merge` (``key`` included): records
+    leave in key order, and on a tie the earlier stream wins.  Each
+    stream keeps one buffered chunk of about ``MERGE_CHUNK // K`` records
+    (floor :data:`MERGE_CHUNK_MIN`).  One step takes ``bound``, the
+    smallest buffered tail key, and ``f``, the first stream whose tail
+    equals it; every record that can no longer be overtaken is emitted:
 
-    * left chunk exhausted first (``last_l <= last_r``) — emit every
-      record ``< last_l`` plus the left records ``== last_l``; right
-      records tying ``last_l`` are retained, because a *future* left
-      record may still equal them and must win the tie;
-    * right chunk exhausted first — emit everything ``<= last_r``
-      (a buffered left tie already precedes any future right tie, and
-      future right records equal to ``last_r`` follow their buffered
-      stream-mates), retain the left records beyond it.
+    * streams before ``f`` emit their prefix ``<= bound`` (their tails
+      are ``> bound``, so no later record of theirs ties it);
+    * stream ``f`` emits its whole chunk;
+    * streams after ``f`` emit only ``< bound`` — a record of ``f`` still
+      to come may equal ``bound`` and must precede their ties.
 
-    Both rules reproduce the two-pointer loop's order exactly; the
-    equivalence suite pins this on random and adversarial tie streams.
+    The prefixes are concatenated in stream order and put through one
+    stable ``list.sort``: Timsort finds the K pre-sorted runs and merges
+    them in C with galloping, resolving ties by stream order.  Stream
+    ``f`` is then refilled (or dropped when exhausted); the last stream
+    standing is flushed a chunk at a time.
     """
-    l_buf = _fill(left)
-    r_buf = _fill(right)
-    while l_buf and r_buf:
-        last_l = l_buf[-1]
-        last_r = r_buf[-1]
-        merged = l_buf + r_buf
-        merged.sort()
-        if last_l <= last_r:  # type: ignore[operator]
-            cut = bisect_left(merged, last_l) + (
-                len(l_buf) - bisect_left(l_buf, last_l)
-            )
-            r_buf = merged[cut:]
-            l_buf = _fill(left)
+    iters = [iter(stream) for stream in streams]
+    chunk = max(MERGE_CHUNK_MIN, MERGE_CHUNK // max(1, len(iters)))
+    bufs: List[List[Record]] = []
+    live: List[Iterator[Record]] = []
+    for it in iters:
+        buf = list(islice(it, chunk))
+        if buf:
+            bufs.append(buf)
+            live.append(it)
+    while len(bufs) > 1:
+        if key is None:
+            tails = [buf[-1] for buf in bufs]
         else:
-            cut = bisect_right(merged, last_r)
-            l_buf = merged[cut:]
-            r_buf = _fill(right)
-        del merged[cut:]  # the retained tail is typically tiny; keep the
-        yield merged  # big prefix in place instead of copying it
-
-    # One stream ended with its buffer drained; flush the survivor side
-    # in chunks (the other stream is exhausted).
-    rest, stream = (l_buf, left) if l_buf else (r_buf, right)
-    while rest:
-        yield rest
-        rest = _fill(stream)
-
-
-def merge_two_keyed(
-    left: Iterable[Record], right: Iterable[Record], key: KeyFn
-) -> Iterator[Record]:
-    """Stable keyed two-way merge; ties (equal keys) emit the left stream
-    first.
-
-    Same dispatch as :func:`merge_two_unkeyed`: the chunked galloping
-    merge when either fast path is active (``sorted(key=...)``
-    decorates in C, so a cheap key like an ``itemgetter`` never enters
-    the interpreter loop), else the classic two-pointer loop that
-    computes each key exactly once.
-    """
-    if _chunked_active():
-        return chain.from_iterable(
-            _merge_two_keyed_batches(iter(left), iter(right), key)
-        )
-    return _merge_two_keyed_scalar(left, right, key)
-
-
-def _merge_two_keyed_scalar(
-    left: Iterable[Record], right: Iterable[Record], key: KeyFn
-) -> Iterator[Record]:
-    """The classic stable keyed two-pointer merge (the scalar reference).
-
-    Like :func:`heapq.merge`, the key is computed once per record.
-    """
-    left = iter(left)
-    right = iter(right)
-    l = next(left, _DONE)
-    r = next(right, _DONE)
-    if l is not _DONE and r is not _DONE:
-        lk = key(l)
-        rk = key(r)
-        while True:
-            if rk < lk:  # type: ignore[operator]
-                yield r
-                r = next(right, _DONE)
-                if r is _DONE:
-                    break
-                rk = key(r)
+            tails = [key(buf[-1]) for buf in bufs]
+        bound = min(tails)
+        first = tails.index(bound)
+        out: List[Record] = []
+        for i, buf in enumerate(bufs):
+            if i == first:
+                out += buf
+                continue
+            if i < first:
+                cut = bisect_right(buf, bound, key=key)
             else:
-                yield l
-                l = next(left, _DONE)
-                if l is _DONE:
-                    break
-                lk = key(l)
-    while l is not _DONE:
-        yield l
-        l = next(left, _DONE)
-    while r is not _DONE:
-        yield r
-        r = next(right, _DONE)
-
-
-def _merge_two_keyed_batches(
-    left: Iterator[Record], right: Iterator[Record], key: KeyFn
-) -> Iterator[List[Record]]:
-    """:func:`_merge_two_batches` with every comparison routed through
-    ``key`` — the boundary-retention rules are identical with "record"
-    read as "record's key" (ties are *equal keys*, resolved left-first by
-    the stable sort)."""
-    l_buf = _fill(left)
-    r_buf = _fill(right)
-    while l_buf and r_buf:
-        last_l = key(l_buf[-1])
-        last_r = key(r_buf[-1])
-        merged = l_buf + r_buf
-        merged.sort(key=key)
-        if not last_r < last_l:  # type: ignore[operator]
-            cut = bisect_left(merged, last_l, key=key) + (
-                len(l_buf) - bisect_left(l_buf, last_l, key=key)
-            )
-            r_buf = merged[cut:]
-            l_buf = _fill(left)
+                cut = bisect_left(buf, bound, key=key)
+            if cut:
+                out += buf[:cut]
+                del buf[:cut]
+        out.sort(key=key)
+        yield out
+        refill = list(islice(live[first], chunk))
+        if refill:
+            bufs[first] = refill
         else:
-            cut = bisect_right(merged, last_r, key=key)
-            l_buf = merged[cut:]
-            r_buf = _fill(right)
-        del merged[cut:]
-        yield merged
-
-    rest, stream = (l_buf, left) if l_buf else (r_buf, right)
-    while rest:
-        yield rest
-        rest = _fill(stream)
+            del bufs[first], live[first]
+    if bufs:
+        buf, it = bufs[0], live[0]
+        while buf:
+            yield buf
+            buf = list(islice(it, MERGE_CHUNK))

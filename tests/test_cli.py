@@ -89,6 +89,61 @@ class TestScc:
         assert "error:" in capsys.readouterr().err
 
 
+class TestMalformedEdgeList:
+    """A bad edge-list input is a clean exit 2 naming ``path:line`` and
+    the bad token — never a traceback."""
+
+    @pytest.mark.parametrize(
+        "text, lineno, token",
+        [
+            ("0 1\n1 x\n", 2, "'x'"),
+            ("0 1\n-3 1\n", 2, "'-3'"),
+            ("0 5000000000\n", 1, "'5000000000'"),
+            ("0 4294967296\n", 1, "'4294967296'"),
+            ("0 1\n2 3 4\n", 2, "'2 3 4'"),
+        ],
+    )
+    def test_bad_text_line_exits_2(self, tmp_path, capsys, text, lineno, token):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        code = main(["scc", str(path), "-m", "16K"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert f"{path}:{lineno}:" in err and token in err
+
+    def test_largest_id_accepted(self, tmp_path, capsys):
+        path = tmp_path / "edge.txt"
+        path.write_text("4294967295 0\n")
+        assert main(["stats", str(path)]) == 0
+
+    def test_truncated_binary_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "bad.bin"
+        path.write_bytes(b"\x00" * 8 + b"\x01\x02\x03")
+        code = main(["scc", str(path), "--binary", "-m", "16K"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{path}: truncated edge record at byte 8" in err
+
+    def test_no_traceback_from_the_process(self, tmp_path):
+        import os
+        import subprocess
+        import sys
+
+        path = tmp_path / "bad.txt"
+        path.write_text("0 1\n1 x\n")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "scc", str(path)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.strip() == (
+            f"error: {path}:2: node id 'x' is not a non-negative integer"
+        )
+
+
 class TestSccCheckpoint:
     @pytest.fixture
     def edge_path(self, tmp_path):

@@ -14,10 +14,14 @@ import pytest
 
 from tests.conftest import make_graph_files, random_edges, reference_sccs
 
+import repro.core.contraction as contraction
 from repro.core.config import ExtSCCConfig
 from repro.core.contraction import contract
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import cycle_graph, planted_scc_graph
+from repro.io.blocks import BlockDevice
+from repro.io.memory import MemoryBudget
+from repro.io.sort import KEY_DST_SRC
 
 
 def contract_once(device, memory, edges, num_nodes, config):
@@ -167,3 +171,55 @@ class TestIOProfile:
         assert level.level == 1
         assert level.num_nodes == 25
         assert level.num_edges == 60
+
+
+class TestGetVSortKey:
+    """Get-V sorts ``E_d`` records ``(u, v, deg_u[, prod_u])`` by an
+    all-field permutation key.  ``deg_u``/``prod_u`` are functions of
+    ``u``, so this must be byte-identical to the stable ``(v, u)`` sort —
+    on a multigraph whose duplicate ``(u, v)`` edges make equal-key ties."""
+
+    @staticmethod
+    def _contract(monkeypatch, config, edges, num_nodes, stable_reference):
+        sorted_ed = []
+        real_sort = contraction.external_sort_stream
+
+        def recording_sort(device, records, record_size, memory, **kwargs):
+            if record_size not in (12, 16):  # not the E_d sort of Get-V
+                return real_sort(device, records, record_size, memory, **kwargs)
+            if stable_reference:
+                kwargs["key"] = KEY_DST_SRC
+            stream = real_sort(device, records, record_size, memory, **kwargs)
+            sorted_ed.append(list(stream))
+            return iter(sorted_ed[-1])
+
+        monkeypatch.setattr(contraction, "external_sort_stream", recording_sort)
+        device = BlockDevice(block_size=64)
+        memory = MemoryBudget(512)
+        level = contract_once(device, memory, edges, num_nodes, config)
+        stats = device.stats
+        ledger = (
+            stats.snapshot(),
+            stats.by_phase,
+            stats.runs_formed,
+            stats.merge_passes,
+            stats.bytes_logical,
+            stats.bytes_stored,
+            sorted((w, tuple(v)) for w, v in stats.bytes_by_width.items()),
+        )
+        monkeypatch.undo()
+        return sorted_ed, list(level.next_nodes.scan()), ledger
+
+    @pytest.mark.parametrize("product_operator", [False, True])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_stable_dst_src_sort(self, monkeypatch, product_operator, seed):
+        base = random_edges(40, 160, seed=seed)
+        # Every edge appears two or three times, so (v, u) ties abound.
+        edges = base + base[::2] + base[1::3]
+        config = ExtSCCConfig(
+            product_operator=product_operator, type2_reduction=True
+        )
+        new = self._contract(monkeypatch, config, edges, 40, stable_reference=False)
+        stable = self._contract(monkeypatch, config, edges, 40, stable_reference=True)
+        assert new[0] and len(new[0][0]) == len(edges)
+        assert new == stable

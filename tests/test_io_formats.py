@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.exceptions import EdgeListFormatError, ReproError
 from repro.graph.edge_file import EdgeFile
 from repro.graph.io_formats import (
     dump_edge_file,
@@ -32,6 +33,29 @@ class TestText:
         with pytest.raises(ValueError):
             list(read_edge_text(path))
 
+    @pytest.mark.parametrize(
+        "token", ["x", "-3", "5000000000", "4294967296", "1.5", "+7", "1_0"]
+    )
+    def test_bad_id_names_line_and_token(self, tmp_path, token):
+        path = tmp_path / "g.txt"
+        path.write_text(f"# header\n0 1\n2 {token}\n")
+        with pytest.raises(EdgeListFormatError) as info:
+            list(read_edge_text(path))
+        assert f"{path}:3:" in str(info.value)
+        assert repr(token) in str(info.value)
+        assert isinstance(info.value, ReproError)
+
+    def test_non_ascii_rejected_cleanly(self, tmp_path):
+        path = tmp_path / "g.txt"
+        path.write_bytes("0 1\n\u00e9 2\n".encode("utf-8"))
+        with pytest.raises(EdgeListFormatError, match=":2:"):
+            list(read_edge_text(path))
+
+    def test_id_range_bounds(self, tmp_path):
+        path = tmp_path / "g.txt"
+        path.write_text("0 4294967295\n")
+        assert list(read_edge_text(path)) == [(0, (1 << 32) - 1)]
+
 
 class TestBinary:
     def test_roundtrip(self, tmp_path):
@@ -44,7 +68,7 @@ class TestBinary:
         write_edge_binary(path, EDGES)
         data = path.read_bytes()
         path.write_bytes(data[:-3])
-        with pytest.raises(ValueError):
+        with pytest.raises(EdgeListFormatError, match="byte 16"):
             list(read_edge_binary(path))
 
     def test_empty_file(self, tmp_path):
