@@ -19,6 +19,7 @@ reads a self-delimiting prefix, so the padding is inert.
 from __future__ import annotations
 
 import struct
+import threading
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.exceptions import StorageError
@@ -107,7 +108,7 @@ class ParityStore:
     ``old_encoding ^ new_encoding`` into the group's parity (an append
     contributes just ``new``), which is exactly the read-modify-write a
     real parity disk performs — and what the parity channel's ledger is
-    charged for.
+    charged for.  One lock makes each update and walk atomic across threads.
     """
 
     def __init__(self, group_width: int) -> None:
@@ -115,6 +116,7 @@ class ParityStore:
             raise StorageError(f"parity group width must be >= 1, got {group_width}")
         self.group_width = group_width
         self._parity: Dict[Tuple[int, int], bytes] = {}
+        self._lock = threading.Lock()
 
     def _key(self, uid: int, index: int) -> Tuple[int, int]:
         return (uid, index // self.group_width)
@@ -136,14 +138,16 @@ class ParityStore:
         if old_records is not None:
             delta = xor_bytes(delta, encode_records(old_records))
         key = self._key(uid, index)
-        self._parity[key] = xor_bytes(self._parity.get(key, b""), delta)
+        with self._lock:
+            self._parity[key] = xor_bytes(self._parity.get(key, b""), delta)
 
     def reconstruct(
         self, uid: int, index: int, siblings: Iterable[Sequence]
     ) -> Optional[Tuple]:
         """Rebuild block ``index`` from parity and its surviving stripe
         members; ``None`` when no parity was ever written for the group."""
-        data = self._parity.get(self._key(uid, index))
+        with self._lock:
+            data = self._parity.get(self._key(uid, index))
         if data is None:
             return None
         for records in siblings:
@@ -152,8 +156,10 @@ class ParityStore:
 
     def drop_file(self, uid: int) -> None:
         """Forget all parity for a deleted file."""
-        for key in [key for key in self._parity if key[0] == uid]:
-            del self._parity[key]
+        with self._lock:
+            for key in [key for key in self._parity if key[0] == uid]:
+                del self._parity[key]
 
     def __len__(self) -> int:
-        return len(self._parity)
+        with self._lock:
+            return len(self._parity)

@@ -22,6 +22,7 @@ from typing import Dict, Iterable, List, Optional
 from repro.constants import SEMI_EXTERNAL_BYTES_PER_NODE
 from repro.graph.edge_file import EdgeFile
 from repro.io.memory import MemoryBudget
+from repro.semi_external.union_find import min_member_labels
 
 __all__ = ["coloring_scc"]
 
@@ -94,10 +95,4 @@ def coloring_scc(
                 label[i] = color[i]
                 remaining -= 1
 
-    rep_min: Dict[int, int] = {}
-    for i in range(n):
-        l = label[i]
-        current = rep_min.get(l)
-        if current is None or nodes[i] < current:
-            rep_min[l] = nodes[i]
-    return {nodes[i]: rep_min[label[i]] for i in range(n)}
+    return min_member_labels(nodes, label)

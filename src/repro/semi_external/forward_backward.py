@@ -30,6 +30,7 @@ from repro.constants import SEMI_EXTERNAL_BYTES_PER_NODE
 from repro.graph.edge_file import EdgeFile
 from repro.io.memory import MemoryBudget
 from repro.kernels import reachability_kernel
+from repro.semi_external.union_find import min_member_labels
 
 __all__ = ["forward_backward_scc"]
 
@@ -112,11 +113,4 @@ def forward_backward_scc(
             part[i] = pid
         active = new_active
 
-    # Canonicalize: min member per label.
-    rep_min: Dict[int, int] = {}
-    for i in range(n):
-        l = label[i]
-        current = rep_min.get(l)
-        if current is None or nodes[i] < current:
-            rep_min[l] = nodes[i]
-    return {nodes[i]: rep_min[label[i]] for i in range(n)}
+    return min_member_labels(nodes, label)

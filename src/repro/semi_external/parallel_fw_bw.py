@@ -39,6 +39,7 @@ from repro.graph.edge_file import EdgeFile
 from repro.io.memory import MemoryBudget
 from repro.io.parallel import shard_ranges
 from repro.kernels import reachability_kernel
+from repro.semi_external.union_find import min_member_labels
 
 __all__ = ["parallel_fw_bw_scc"]
 
@@ -187,11 +188,4 @@ def parallel_fw_bw_scc(
             part[i] = pid
         active = new_active
 
-    # Canonicalize: min member per label.
-    rep_min: Dict[int, int] = {}
-    for i in range(n):
-        l = label[i]
-        current = rep_min.get(l)
-        if current is None or nodes[i] < current:
-            rep_min[l] = nodes[i]
-    return {nodes[i]: rep_min[label[i]] for i in range(n)}
+    return min_member_labels(nodes, label)

@@ -16,6 +16,14 @@ repeat until no change.  This module reproduces that mechanism as a
   re-attached below ``ru``, strictly increasing its depth;
 * a full scan with no action is a fixpoint.
 
+Parent pointers may be stale: children of a contracted path keep the
+merged member as their parent, which ``find_parent`` resolves through the
+union-find (the virtual root is never merged).  **Cost**: a contraction
+walks the path, merges the smaller children sets into the largest, and
+rewrites depths only in the subtrees hanging off the members below ``rv``
+(``rv``'s own children keep ``depth(rv) + 1``); a re-attachment rewrites
+the subtree it moves.
+
 **Completeness**: at a fixpoint every remaining edge satisfies
 ``depth(ru) < depth(rv)``, so a cycle through two distinct representatives
 would strictly increase depth around a loop — impossible; hence every SCC
@@ -34,7 +42,7 @@ from typing import Dict, Iterable, List, Optional, Set
 from repro.constants import SEMI_EXTERNAL_BYTES_PER_NODE
 from repro.graph.edge_file import EdgeFile
 from repro.io.memory import MemoryBudget
-from repro.semi_external.union_find import UnionFind
+from repro.semi_external.union_find import UnionFind, min_member_labels
 
 __all__ = ["spanning_tree_scc", "SpanningTreeStats"]
 
@@ -46,6 +54,7 @@ class SpanningTreeStats:
         self.passes = 0
         self.contractions = 0
         self.reattachments = 0
+        self.depth_rewrites = 0  # nodes whose depth was rewritten
 
 
 def spanning_tree_scc(
@@ -93,11 +102,12 @@ def spanning_tree_scc(
         p = parent[rep]
         return p if p == root else uf.find(p)
 
-    def set_subtree_depths(rep: int) -> None:
-        """Re-establish depth(child) = depth(parent) + 1 below ``rep``."""
-        queue = [rep]
+    def redepth(queue: List[int]) -> None:
+        """Re-establish depth(child) = depth(parent) + 1 below every node in
+        ``queue``, whose own depths are already rewritten."""
         while queue:
             node = queue.pop()
+            stats.depth_rewrites += 1
             d = depth[node] + 1
             for child in children[node]:
                 depth[child] = d
@@ -110,7 +120,7 @@ def spanning_tree_scc(
         parent[rv] = ru
         children[ru].add(rv)
         depth[rv] = depth[ru] + 1
-        set_subtree_depths(rv)
+        redepth([rv])
         stats.reattachments += 1
 
     def contract(ru: int, rv: int) -> None:
@@ -120,26 +130,28 @@ def spanning_tree_scc(
         while a != rv:
             a = find_parent(a)
             path.append(a)
+        path_set = set(path)
         grandparent = find_parent(rv)
         base_depth = depth[rv]
-        merged_children: Set[int] = set()
+        moved = [c for m in path[:-1] for c in children[m] if c not in path_set]
+        for child in moved:
+            depth[child] = base_depth + 1
         rep = path[0]
         for member in path[1:]:
             rep = uf.union(rep, member)
-        path_set = set(path)
+        largest = max(path, key=lambda m: len(children[m]))
+        merged = children[largest]
         for member in path:
-            merged_children |= children[member]
-            children[member] = set()
-        merged_children -= path_set
-        children[rep] = merged_children
-        for child in merged_children:
-            parent[child] = rep
+            if member != largest:
+                merged |= children[member]
+                children[member].clear()
+        merged.difference_update(path_set)
+        children[largest], children[rep] = children[rep], merged
         parent[rep] = grandparent
         depth[rep] = base_depth
         children[grandparent].discard(rv)
-        children[grandparent].discard(ru)
         children[grandparent].add(rep)
-        set_subtree_depths(rep)
+        redepth(moved)
         stats.contractions += 1
 
     changed = True
@@ -167,11 +179,4 @@ def spanning_tree_scc(
                 reattach(rv, ru)
             changed = True
 
-    # Canonicalize: min member id per union-find set.
-    rep_min: Dict[int, int] = {}
-    for node in nodes:
-        r = uf.find(index[node])
-        current = rep_min.get(r)
-        if current is None or node < current:
-            rep_min[r] = node
-    return {node: rep_min[uf.find(index[node])] for node in nodes}
+    return min_member_labels(nodes, [uf.find(index[node]) for node in nodes])

@@ -1,11 +1,11 @@
-"""Array-backed union-find used by the in-memory side of the semi-external
+"""Array-backed union-find and the canonical labeling of the semi-external
 solvers (node state is exactly the O(|V|) the semi-external model allows)."""
 
 from __future__ import annotations
 
-from typing import List
+from typing import Dict, List, Sequence
 
-__all__ = ["UnionFind"]
+__all__ = ["UnionFind", "min_member_labels"]
 
 
 class UnionFind:
@@ -42,3 +42,13 @@ class UnionFind:
     def connected(self, a: int, b: int) -> bool:
         """True when ``a`` and ``b`` are in the same set."""
         return self.find(a) == self.find(b)
+
+
+def min_member_labels(nodes: Sequence[int], labels: Sequence[int]) -> Dict[int, int]:
+    """Canonical labeling ``nodes[i] -> min node sharing labels[i]``."""
+    rep_min: Dict[int, int] = {}
+    for node, label in zip(nodes, labels):
+        current = rep_min.get(label)
+        if current is None or node < current:
+            rep_min[label] = node
+    return {node: rep_min[label] for node, label in zip(nodes, labels)}

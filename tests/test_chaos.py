@@ -10,6 +10,7 @@ exactly the same I/Os.
 
 import os
 import stat
+import sys
 import threading
 import time
 
@@ -319,6 +320,57 @@ class TestParityStore:
         store.drop_file(1)
         assert store.reconstruct(1, 0, []) is None
         assert len(store) == 1
+
+    def test_concurrent_writers_and_drops_keep_parity_exact(self):
+        """Worker threads fold writes into one stripe while another thread
+        inserts and drops whole files: no update may be lost and no walk
+        of the store may see it change size under it."""
+        width, rounds = 4, 300
+        store = ParityStore(group_width=width)
+        final = {}
+        errors = []
+
+        def writer(index):
+            old = None
+            for step in range(rounds):
+                new = ((index, step, step * 7919 + index),)
+                store.update(1, index, old, new)
+                old = new
+            final[index] = old
+
+        def churn():
+            try:
+                for uid in range(2, 2 + rounds):
+                    for index in range(0, 8 * width, width):
+                        store.update(uid, index, None, ((uid, index),))
+                    store.drop_file(uid)
+            except RuntimeError as exc:  # dict changed size during iteration
+                errors.append(exc)
+
+        def dropper():
+            try:
+                for _ in range(rounds):
+                    store.drop_file(0)
+            except RuntimeError as exc:
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=writer, args=(i,)) for i in range(width)]
+            threads += [threading.Thread(target=churn), threading.Thread(target=dropper)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert len(store) == 1  # every churned file was dropped
+        for lost in range(width):
+            siblings = [final[i] for i in range(width) if i != lost]
+            assert store.reconstruct(1, lost, siblings) == final[lost]
 
     def test_unsupported_payload_rejected(self):
         with pytest.raises(StorageError):
