@@ -2,7 +2,7 @@
 
 Two claims, kept deliberately separate:
 
-* **Invariance** — the batch record path and the ``processes`` executor
+* **Invariance** — the batch record path and the ``threads`` executor
   are *pure* wall-clock optimisations: at every codec × executor × K
   combination the smoke run's simulated ledger (every I/O counter, byte
   counter, pass counter) and its answer are exactly the scalar serial
@@ -15,7 +15,9 @@ Two claims, kept deliberately separate:
   the real ratio.
 
 Run labels come from ``REPRO_BENCH_LABEL`` (defaults to the current
-date) so CI pushes append a dated trajectory point per commit.
+date) so CI pushes append a dated trajectory point per commit.  Each
+entry also records ``src_lines``, the line count of ``src/repro``, so
+code size is tracked next to wall time.
 """
 
 import datetime
@@ -35,14 +37,15 @@ from repro.bench import (
 )
 from repro.io.codecs import set_batch_enabled
 
-WALLCLOCK_JSON = pathlib.Path(__file__).parent.parent / "BENCH_wallclock.json"
+ROOT = pathlib.Path(__file__).parent.parent
+WALLCLOCK_JSON = ROOT / "BENCH_wallclock.json"
 MEMORY_RATIO = 0.47  # Fig. 6 default memory
 SMOKE_PCT = 20
 WALLCLOCK_FLOOR = 1.25  # soft in-test floor; the committed entry records the real ratio
 REPEATS = 3
 
 MATRIX_CODECS = ("gap-varint", "varint", "fixed")
-MATRIX_EXECUTORS = ("serial", "threads", "processes")
+MATRIX_EXECUTORS = ("serial", "threads")
 MATRIX_WORKERS = (1, 2, 4, 8)
 
 
@@ -51,6 +54,14 @@ def _smoke_point():
     edges = subsample_edges(shuffled_edges(graph), SMOKE_PCT)
     memory = memory_for_ratio(graph.num_nodes, MEMORY_RATIO)
     return edges, graph.num_nodes, memory
+
+
+def _src_lines():
+    """Lines in ``src/repro/**/*.py``: net source size, next to wall time."""
+    return sum(
+        len(path.read_text().splitlines())
+        for path in (ROOT / "src" / "repro").rglob("*.py")
+    )
 
 
 def _fingerprint(run):
@@ -155,8 +166,6 @@ def test_wallclock_speedup_committed(benchmark):
             "batch-serial": dict(batch=True),
             "batch-numpy-serial": dict(batch=True, numpy=True),
             "batch-threads-k4": dict(batch=True, executor="threads", workers=4),
-            "batch-processes-k1": dict(batch=True, executor="processes", workers=1),
-            "batch-processes-k4": dict(batch=True, executor="processes", workers=4),
             "autotuned": dict(batch=True, autotune=True),
         })
 
@@ -194,6 +203,7 @@ def test_wallclock_speedup_committed(benchmark):
         "host": platform.node(),
         "io_total": scalar_run.io_total,
         "num_sccs": scalar_run.num_sccs,
+        "src_lines": _src_lines(),
         "wall_seconds": {
             name: round(wall, 4) for name, (wall, _) in results.items()
         },
@@ -221,12 +231,6 @@ def test_wallclock_speedup_committed(benchmark):
                 and baseline.get("workload") == entry["workload"]):
             base_wall = baseline["wall_seconds"]["scalar-serial"]
             entry["speedup_vs_baseline"] = round(base_wall / best_wall, 3)
-            procs = [w for name, w in entry["wall_seconds"].items()
-                     if name.startswith("batch-processes")]
-            if procs:
-                entry["speedup_vs_baseline_processes"] = round(
-                    base_wall / min(procs), 3
-                )
     trajectory = [e for e in trajectory if e["label"] != label] + [entry]
     WALLCLOCK_JSON.write_text(
         json.dumps({"workload": f"fig6-smoke-{SMOKE_PCT}pct",

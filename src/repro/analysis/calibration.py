@@ -26,7 +26,7 @@ Fitted constants:
   fewest predicted blocks.  With one sample the slope is
   ``seconds/blocks`` and the intercept zero; with two or more, a
   least-squares fit whose clamped intercept *is* the executor's fixed
-  overhead (for the ``processes`` backend: the pool spawn cost);
+  overhead;
 * ``semi_passes[solver]`` — measured edge-file scans per semi-external
   solver (the analytic default prices every solver at 3).
 
@@ -183,18 +183,6 @@ class CalibrationProfile:
         overhead included)."""
         slope, intercept = self.wall_constants(executor, workers, codec)
         return slope * max(0, blocks) + intercept
-
-    def spawn_seconds(self, executor: str) -> float:
-        """The executor's fitted fixed overhead (pool spawn cost) — the
-        affine intercept, zero until two samples of different sizes pin
-        it."""
-        by_k = self._wall.get(executor, {})
-        if not by_k:
-            return 0.0
-        return max(
-            _fit_affine(self._codec_samples(by_codec, None))[1]
-            for by_codec in by_k.values()
-        )
 
     def semi_passes(self, solver: str) -> float:
         """Measured edge-file scans per run of ``solver`` (the analytic

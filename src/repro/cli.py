@@ -38,7 +38,7 @@ from repro.exceptions import (
 )
 from repro.graph.datasets import build_dataset
 from repro.graph.io_formats import read_edge_binary, read_edge_text, write_edge_binary, write_edge_text
-from repro.io.parallel import EXECUTOR_BACKENDS, processes_available
+from repro.io.parallel import EXECUTOR_BACKENDS
 from repro.plan import PlanCache
 from repro.recovery.policy import FaultPolicy
 from repro.semi_external import SEMI_SCC_SOLVERS
@@ -46,18 +46,6 @@ from repro import kernels
 
 __all__ = ["main", "parse_size"]
 
-
-def _check_executor(executor: str) -> Optional[str]:
-    """Platform validation for ``--executor``: the ``processes`` backend
-    needs a working fork/spawn + semaphore implementation.  Returns an
-    error message, or ``None`` when the choice can run here."""
-    if executor == "processes" and not processes_available():
-        return (
-            "--executor processes is unavailable on this platform "
-            "(no usable fork/spawn start method or no working "
-            "multiprocessing semaphores); use --executor threads or serial"
-        )
-    return None
 
 _SUFFIXES = {"K": 1 << 10, "M": 1 << 20, "G": 1 << 30}
 
@@ -249,10 +237,6 @@ def _cmd_scc(args: argparse.Namespace) -> int:
         ExtSCCConfig.optimized() if args.algorithm == "ext-scc-op"
         else ExtSCCConfig.baseline()
     )
-    error = _check_executor(args.executor)
-    if error is not None:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
     if args.workers > 1 or args.executor != "serial":
         config = replace(config, workers=args.workers, executor=args.executor)
     if args.solver is not None:
@@ -458,10 +442,6 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    error = _check_executor(args.executor)
-    if error is not None:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
     if args.autotune and args.algorithm not in ("Ext-SCC", "Ext-SCC-Op"):
         print(
             f"error: --autotune only applies to Ext-SCC variants, not "
@@ -766,10 +746,7 @@ def build_parser() -> argparse.ArgumentParser:
     scc.add_argument("--executor", choices=list(EXECUTOR_BACKENDS),
                      default="serial",
                      help="worker-pool backend (serial is deterministic "
-                          "and default; threads uses real threads; "
-                          "processes adds worker processes for pure-CPU "
-                          "kernels — rejected when the platform cannot "
-                          "fork/spawn)")
+                          "and default; threads uses real threads)")
     scc.add_argument("--checkpoint-dir",
                      help="journal phase boundaries in this directory "
                           "(a persistent device) so a crashed run can be "
@@ -837,9 +814,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="shard/channel width K for Ext-SCC runs")
     bench.add_argument("--executor", choices=list(EXECUTOR_BACKENDS),
                        default="serial",
-                       help="worker-pool backend for Ext-SCC runs "
-                            "(processes is rejected when the platform "
-                            "cannot fork/spawn)")
+                       help="worker-pool backend for Ext-SCC runs")
     bench.add_argument("--binary", action="store_true")
     bench.add_argument("--autotune", action="store_true",
                        help="let the optimizer pick codec/K/executor/"

@@ -150,9 +150,10 @@ class WorkerCrashError(ReproError):
     """A worker executing a pool task died or hung mid-task.
 
     Raised inside the task by a scheduled worker fault (``worker-die`` /
-    ``worker-hang``) or mapped from a real ``BrokenProcessPool``.  The
-    :class:`~repro.io.parallel.WorkerPool` supervisor catches it and
-    re-dispatches the task (tasks are pure, so replay is safe).
+    ``worker-hang``), or built by the supervisor when a thread misses its
+    per-task deadline.  The :class:`~repro.io.parallel.WorkerPool`
+    supervisor catches it and re-dispatches the task (tasks are pure, so
+    replay is safe).
     """
 
     def __init__(self, kind: str, detail: str = "") -> None:

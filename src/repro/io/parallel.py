@@ -41,10 +41,8 @@ modeled critical path.
 from __future__ import annotations
 
 import threading
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
-from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, TypeVar
 
 from repro.exceptions import StorageError, WorkerCrashError
@@ -57,54 +55,15 @@ __all__ = [
     "StripedDevice",
     "MakespanMeter",
     "EXECUTOR_BACKENDS",
-    "PROCESS_TASK_MIN",
-    "processes_available",
-    "set_processes_available",
     "shard_ranges",
 ]
 
 T = TypeVar("T")
 
-EXECUTOR_BACKENDS = ("serial", "threads", "processes")
+EXECUTOR_BACKENDS = ("serial", "threads")
 """Recognized :class:`WorkerPool` backends.  ``serial`` is the default
 everywhere: it keeps crash ordinals and hypothesis traces deterministic.
-``threads`` is opt-in for callers that want real overlap; ``processes``
-additionally farms *picklable pure-CPU kernels* (see
-:meth:`WorkerPool.run_pure`) to worker processes for real multicore
-wall-clock."""
-
-PROCESS_TASK_MIN = 4096
-"""Smallest task (in records) worth shipping across the process boundary.
-Below this, pickling dominates the kernel — the granularity-control idea
-of Wang et al.'s parallel-SCC work applied to offload decisions.  Callers
-check it before invoking :meth:`WorkerPool.run_pure`."""
-
-_processes_override: Optional[bool] = None
-
-
-def set_processes_available(value: Optional[bool]) -> Optional[bool]:
-    """Test hook: force :func:`processes_available` to ``value`` (``None``
-    restores platform detection).  Returns the previous override."""
-    global _processes_override
-    previous, _processes_override = _processes_override, value
-    return previous
-
-
-def processes_available() -> bool:
-    """Whether this platform can fork/spawn worker processes.
-
-    ``multiprocessing.synchronize`` imports only where ``sem_open`` works
-    (it fails on some sandboxed/embedded platforms), and a start method
-    must exist — both are prerequisites of ``ProcessPoolExecutor``.
-    """
-    if _processes_override is not None:
-        return _processes_override
-    try:
-        import multiprocessing
-        import multiprocessing.synchronize  # noqa: F401  (needs a working sem_open)
-    except (ImportError, OSError):
-        return False
-    return bool(multiprocessing.get_all_start_methods())
+``threads`` is opt-in for callers that want real overlap."""
 
 
 class WorkerPool:
@@ -114,14 +73,10 @@ class WorkerPool:
         workers: shard width ``K``; partitionable operators split their
             input into up to ``K`` shards.
         backend: ``"serial"`` (run thunks in order on the calling thread),
-            ``"threads"`` (a :class:`ThreadPoolExecutor` of ``K``
-            threads), or ``"processes"``.  Generic thunks close over the
-            simulated device and cannot cross a process boundary, so the
-            processes backend runs them on threads exactly like
-            ``"threads"``; only the picklable pure-CPU kernels submitted
-            through :meth:`run_pure` execute in worker processes.
+            or ``"threads"`` (a :class:`ThreadPoolExecutor` of ``K``
+            threads).
 
-    All backends present the same barrier semantics: :meth:`run` returns
+    Both backends present the same barrier semantics: :meth:`run` returns
     results in submission order and re-raises the first exception.
     """
 
@@ -135,9 +90,6 @@ class WorkerPool:
         self.workers = workers
         self.backend = backend
         self._executor: Optional[ThreadPoolExecutor] = None
-        self._process_executor = None  # lazy ProcessPoolExecutor
-        self._process_broken = False
-        self._threads_broken = False
         self._lock = threading.Lock()
         # Back-reference to the device this pool is attached to (set by
         # BlockDevice.attach_workers).  Through it the supervisor reaches
@@ -156,18 +108,6 @@ class WorkerPool:
             if self._executor is None:
                 self._executor = ThreadPoolExecutor(max_workers=self.workers)
             return self._executor
-
-    def _mark_process_fallback(self, reason: str) -> None:
-        if not self._process_broken:
-            self._process_broken = True
-            self._record_degradation(f"executor degraded processes -> threads: {reason}")
-            warnings.warn(
-                f"processes executor unavailable ({reason}); running tasks "
-                "inline instead — results are identical, only wall-clock "
-                "overlap is lost",
-                RuntimeWarning,
-                stacklevel=3,
-            )
 
     # -- supervision -------------------------------------------------------
 
@@ -223,64 +163,6 @@ class WorkerPool:
         except WorkerCrashError as exc:
             self._record_redispatch(exc)
             return thunk()
-
-    def _processes(self):
-        """The lazy process executor, or ``None`` after a graceful
-        fallback (platform can't fork/spawn, or spawning failed)."""
-        with self._lock:
-            if self._process_broken:
-                return None
-            if self._process_executor is None:
-                if not processes_available():
-                    self._mark_process_fallback("platform cannot fork/spawn")
-                    return None
-                try:
-                    from concurrent.futures import ProcessPoolExecutor
-
-                    self._process_executor = ProcessPoolExecutor(
-                        max_workers=self.workers
-                    )
-                except (ImportError, OSError, PermissionError, ValueError) as exc:
-                    self._mark_process_fallback(str(exc))
-                    return None
-            return self._process_executor
-
-    def run_pure(
-        self, fn: Callable[..., T], tasks: Sequence[Tuple]
-    ) -> List[T]:
-        """Run picklable pure-CPU tasks ``fn(*args)``; results in
-        submission order.
-
-        Under the ``processes`` backend the tasks execute in worker
-        processes (real multicore, not just overlap); every other backend
-        — and any failure to spawn workers or pickle a task — runs them
-        inline.  ``fn`` must be a module-level function of picklable
-        arguments with no side effects: the fallback may re-execute tasks,
-        and nothing it touches crosses back except the return value.
-        """
-        tasks = list(tasks)
-        if (
-            self.backend != "processes"
-            or self.workers == 1
-            or len(tasks) == 0
-            or self._process_broken
-        ):
-            return [fn(*args) for args in tasks]
-        executor = self._processes()
-        if executor is None:
-            return [fn(*args) for args in tasks]
-        try:
-            futures = [executor.submit(fn, *args) for args in tasks]
-            return [future.result() for future in futures]
-        except BrokenProcessPool as exc:
-            # A worker process died; the pool is unusable.  Tasks are
-            # pure, so replaying the whole batch inline is safe.
-            self._mark_process_fallback(f"worker process died: {exc}")
-            self._record_redispatch(WorkerCrashError("worker-die", str(exc)))
-            return [fn(*args) for args in tasks]
-        except Exception as exc:  # pickling errors, spawn failures, ...
-            self._mark_process_fallback(f"{type(exc).__name__}: {exc}")
-            return [fn(*args) for args in tasks]
 
     def _inline(self) -> bool:
         return (
@@ -373,23 +255,17 @@ class WorkerPool:
             return self._wrap(thunk)()
 
     def close(self) -> None:
-        """Shut the thread and process backends down (no-op for serial).
+        """Shut the thread backend down (no-op for serial).
 
-        Safe to call twice, and exception-safe: the executors are detached
-        under the lock first, and the process pool is shut down in a
-        ``finally`` so a ``KeyboardInterrupt`` delivered during the thread
-        pool's shutdown cannot leak worker processes.  The pool stays
-        usable — the next submission lazily recreates its executors.
+        Safe to call twice, and exception-safe: the executor is detached
+        under the lock before its shutdown, so a ``KeyboardInterrupt``
+        delivered during the shutdown still leaves the pool usable — the
+        next submission lazily recreates its executor.
         """
         with self._lock:
             executor, self._executor = self._executor, None
-            procs, self._process_executor = self._process_executor, None
-        try:
-            if executor is not None:
-                executor.shutdown(wait=True)
-        finally:
-            if procs is not None:
-                procs.shutdown(wait=True)
+        if executor is not None:
+            executor.shutdown(wait=True)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"WorkerPool(workers={self.workers}, backend={self.backend!r})"

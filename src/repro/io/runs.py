@@ -34,7 +34,6 @@ from repro.io.blocks import BlockDevice
 from repro.io.codecs import Codec, FixedCodec, CompressedRecordFile, RecordStore
 from repro.io.files import ExternalFile
 from repro.io.memory import MemoryBudget
-from repro.io.parallel import PROCESS_TASK_MIN
 from repro.kernels import sort_records
 
 __all__ = [
@@ -179,13 +178,6 @@ def form_runs(
     ]
 
 
-def _sort_buffer(buffer: List[Record]) -> List[Record]:
-    """The picklable pure-CPU sort kernel for process offload (records
-    sort by their own tuples — key functions don't cross processes)."""
-    buffer.sort()
-    return buffer
-
-
 def _write_run(
     device: BlockDevice,
     buffer: List[Record],
@@ -194,19 +186,7 @@ def _write_run(
     prefix: str,
     codec: Optional[Codec] = None,
 ) -> RecordStore:
-    pool = device.worker_pool
-    if (
-        key is None
-        and pool is not None
-        and pool.backend == "processes"
-        and len(buffer) >= PROCESS_TASK_MIN
-    ):
-        # Offload the sort to a worker process: sorted() is deterministic
-        # and stable either way, so the run contents are identical — only
-        # which core did the comparisons changes.
-        buffer = pool.run_pure(_sort_buffer, [(buffer,)])[0]
-    else:
-        buffer = _sorted_records(buffer, key)
+    buffer = _sorted_records(buffer, key)
     out = _create_run(device, record_size, codec, prefix)
     out.extend(buffer)
     out.close()

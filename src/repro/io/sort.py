@@ -138,7 +138,6 @@ def _form_and_reduce_runs(
     record_size: int,
     memory: MemoryBudget,
     key: Optional[KeyFn],
-    run_formation: Optional[str],
     codec: Union[None, str, Codec] = None,
     sort_field: Optional[int] = None,
 ) -> Tuple[List[RecordStore], Codec]:
@@ -154,7 +153,7 @@ def _form_and_reduce_runs(
     if sort_field is None and key is None:
         sort_field = 0
     resolved = resolve_codec(codec, record_size, sort_field, device=device)
-    form = RUN_FORMATIONS[run_formation or DEFAULT_RUN_FORMATION]
+    form = RUN_FORMATIONS[DEFAULT_RUN_FORMATION]
     runs = form(device, records, record_size, memory, key=key, codec=resolved)
     device.stats.record_runs_formed(len(runs))
     fan_in = max(2, memory.block_capacity(device.block_size) - 1)
@@ -170,7 +169,6 @@ def external_sort_stream(
     memory: MemoryBudget,
     key: Optional[KeyFn] = None,
     unique: bool = False,
-    run_formation: Optional[str] = None,
     codec: Union[None, str, Codec] = None,
     sort_field: Optional[int] = None,
 ) -> Iterator[Record]:
@@ -192,7 +190,7 @@ def external_sort_stream(
         # Yields the final merge as one record iterator; resuming the
         # generator after it is drained (or closing it) deletes the runs.
         runs, _ = _form_and_reduce_runs(
-            device, records, record_size, memory, key, run_formation, codec, sort_field
+            device, records, record_size, memory, key, codec, sort_field
         )
         if not runs:
             return
@@ -242,13 +240,12 @@ def external_sort_records(
     key: Optional[KeyFn] = None,
     unique: bool = False,
     out_name: Optional[str] = None,
-    run_formation: Optional[str] = None,
     codec: Union[None, str, Codec] = None,
     sort_field: Optional[int] = None,
 ) -> RecordStore:
     """Sort a record stream into a new file (see :func:`external_sort`)."""
     runs, resolved = _form_and_reduce_runs(
-        device, records, record_size, memory, key, run_formation, codec, sort_field
+        device, records, record_size, memory, key, codec, sort_field
     )
     out_name = out_name if out_name is not None else device.temp_name("sorted")
     if not runs:

@@ -28,7 +28,9 @@ from typing import Dict, Optional
 
 __all__ = ["PlanCache", "PLAN_CACHE_SCHEMA_VERSION"]
 
-PLAN_CACHE_SCHEMA_VERSION = 1
+PLAN_CACHE_SCHEMA_VERSION = 2
+"""Bumped whenever a persisted decision might no longer replay; a file of
+another schema loads as an empty cache."""
 
 
 class PlanCache:

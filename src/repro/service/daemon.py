@@ -3,7 +3,10 @@
 Protocol: one JSON object per line, one response line per request.
 Every request carries an ``"op"``; query ops also carry the ``"session"``
 id returned by ``open-session``.  Responses are ``{"ok": true, ...}`` or
-``{"ok": false, "error": <kind>, "message": <text>}``.
+``{"ok": false, "error": <kind>, "message": <text>}``.  A request line
+may be at most :data:`MAX_REQUEST_BYTES` (1 MiB, newline included); a
+longer one is never buffered whole: it gets one ``protocol`` error reply
+and the daemon closes that connection.
 
 Ops:
 
@@ -28,8 +31,10 @@ clients hammering the same epoch share block reads.
 from __future__ import annotations
 
 import json
+import socket
 import socketserver
 import threading
+import time
 from typing import Optional
 
 from repro.exceptions import (
@@ -45,7 +50,12 @@ from repro.service.batch import BatchCollector
 from repro.service.session import SessionManager
 from repro.service.store import LabelStore
 
-__all__ = ["QueryDaemon"]
+__all__ = ["QueryDaemon", "MAX_REQUEST_BYTES"]
+
+MAX_REQUEST_BYTES = 1 << 20
+"""Longest request line the daemon reads, newline included."""
+
+_LINGER_SECONDS = 2.0
 
 _ERROR_KINDS = (
     (IOBudgetExceeded, "throttled"),
@@ -68,7 +78,13 @@ def _error_kind(exc: Exception) -> str:
 class _Handler(socketserver.StreamRequestHandler):
     def handle(self) -> None:
         daemon: "QueryDaemon" = self.server.daemon  # type: ignore[attr-defined]
-        for raw in self.rfile:
+        while True:
+            raw = self.rfile.readline(MAX_REQUEST_BYTES + 1)
+            if not raw:
+                return
+            if len(raw) > MAX_REQUEST_BYTES:
+                self._refuse_oversized()
+                return
             line = raw.strip()
             if not line:
                 continue
@@ -83,11 +99,31 @@ class _Handler(socketserver.StreamRequestHandler):
                     "error": _error_kind(exc),
                     "message": str(exc),
                 }
-            self.wfile.write((json.dumps(response) + "\n").encode("ascii"))
-            self.wfile.flush()
+            self._reply(response)
             if response.get("op") == "shutdown":
                 daemon.request_shutdown()
                 return
+
+    def _reply(self, response: dict) -> None:
+        self.wfile.write((json.dumps(response) + "\n").encode("ascii"))
+        self.wfile.flush()
+
+    def _refuse_oversized(self) -> None:
+        """Reply ``protocol`` to an over-long line and end the connection.
+        Half-close first and discard what the client still sends for up
+        to ``_LINGER_SECONDS``: closing with unread input resets the
+        connection, which can destroy the reply in flight."""
+        self._reply({"ok": False, "error": "protocol",
+                     "message": f"request line exceeds {MAX_REQUEST_BYTES} bytes"})
+        deadline = time.monotonic() + _LINGER_SECONDS
+        try:
+            self.connection.shutdown(socket.SHUT_WR)
+            while (remaining := deadline - time.monotonic()) > 0:
+                self.connection.settimeout(remaining)
+                if not self.connection.recv(1 << 16):
+                    break
+        except OSError:  # timeout or reset: the connection is done anyway
+            pass
 
 
 class _Server(socketserver.ThreadingTCPServer):

@@ -52,9 +52,6 @@ class TestDefaults:
         assert CalibrationProfile().semi_passes("coloring") == \
             DEFAULT_SEMI_PASSES
 
-    def test_default_spawn_overhead_zero(self):
-        assert CalibrationProfile().spawn_seconds("processes") == 0.0
-
     def test_path_convention(self, tmp_path):
         assert calibration_path_for(str(tmp_path)) == \
             str(tmp_path / "calibration.json")
@@ -101,14 +98,13 @@ class TestWallFit:
     def test_two_samples_fit_affine_intercept(self):
         profile = CalibrationProfile()
         # seconds = 1e-4 * blocks + 0.5 exactly.
-        _ingest(profile, executor="processes", workers=4,
+        _ingest(profile, executor="threads", workers=4,
                 io_total=100, wall_seconds=0.51)
-        _ingest(profile, executor="processes", workers=4,
+        _ingest(profile, executor="threads", workers=4,
                 io_total=1100, wall_seconds=0.61)
-        slope, intercept = profile.wall_constants("processes", 4)
+        slope, intercept = profile.wall_constants("threads", 4)
         assert slope == pytest.approx(1e-4)
         assert intercept == pytest.approx(0.5)
-        assert profile.spawn_seconds("processes") == pytest.approx(0.5)
 
     def test_fallback_nearest_k_same_executor(self):
         profile = CalibrationProfile()

@@ -473,26 +473,22 @@ class TestWorkerSupervision:
         assert pool.run([lambda: 3, lambda: 4]) == [3, 4]
         pool.close()
 
-    def test_close_shuts_processes_down_despite_interrupt(self):
+    def test_close_detaches_threads_despite_interrupt(self):
         class Exploding:
             def shutdown(self, wait=True):
                 raise KeyboardInterrupt
 
-        class Recording:
-            def __init__(self):
-                self.closed = False
-
-            def shutdown(self, wait=True):
-                self.closed = True
-
         pool = WorkerPool(workers=2, backend="threads")
-        procs = Recording()
         pool._executor = Exploding()
-        pool._process_executor = procs
         with pytest.raises(KeyboardInterrupt):
             pool.close()
-        assert procs.closed
-        assert pool._executor is None and pool._process_executor is None
+        # detached before the shutdown ran, so the interrupted close left
+        # no half-closed executor behind: the next run builds a fresh one
+        assert pool._executor is None
+        try:
+            assert pool.run([lambda: 1, lambda: 2]) == [1, 2]
+        finally:
+            pool.close()
 
 
 # ---------------------------------------------------------------------------

@@ -429,6 +429,37 @@ class TestAutotuneCli:
         assert main(argv) == 0
         assert "(plan cache)" in capsys.readouterr().err
 
+    def test_v1_plan_cache_with_processes_is_replanned(self, tmp_path,
+                                                      edge_path, capsys):
+        import json
+
+        from repro.plan import PlanCache
+
+        cache_path = tmp_path / "plans.json"
+        argv = ["scc", str(edge_path), "-m", "16K", "--autotune",
+                "--plan-cache", str(cache_path)]
+        assert main(argv) == 0
+        capsys.readouterr()
+        # Rewrite the file the way a v1 cache looked: every decision also
+        # lists `processes` candidates, and one of them is the chosen plan.
+        payload = json.loads(cache_path.read_text())
+        for entry in payload["entries"].values():
+            extra = [dict(c, executor="processes")
+                     for c in entry["candidates"]]
+            entry["chosen"] = len(entry["candidates"])
+            entry["candidates"] += extra
+        payload["schema"] = 1
+        cache_path.write_text(json.dumps(payload))
+        assert len(PlanCache(str(cache_path))) == 0
+        assert main(argv) == 0
+        err = capsys.readouterr().err
+        assert "candidates in" in err and "(plan cache)" not in err
+        rewritten = json.loads(cache_path.read_text())
+        assert rewritten["schema"] == 2
+        assert all(c["executor"] != "processes"
+                   for entry in rewritten["entries"].values()
+                   for c in entry["candidates"])
+
     def test_calibration_written_and_reused(self, tmp_path, edge_path,
                                             capsys):
         cal_path = tmp_path / "calibration.json"
@@ -472,9 +503,9 @@ class TestAutotuneCli:
 
 
 class TestProcessesExecutorCli:
-    """``--executor processes`` is a first-class choice: accepted where the
-    platform can fork/spawn, rejected with a clear message (exit 2, not a
-    crash) where it cannot."""
+    """``--executor`` offers ``serial`` and ``threads`` only: the removed
+    ``processes`` backend is rejected as a usage error (exit 2, no
+    traceback)."""
 
     @pytest.fixture
     def edge_path(self, tmp_path):
@@ -482,23 +513,14 @@ class TestProcessesExecutorCli:
         write_edge_text(path, cycle_graph(20).edges)
         return path
 
-    def test_accepted_when_available(self, edge_path, capsys, monkeypatch):
-        from repro.io import parallel
-
-        monkeypatch.setattr(parallel, "_processes_override", True)
-        assert main(["scc", str(edge_path), "-m", "16K",
-                     "--executor", "processes"]) == 0
-
     @pytest.mark.parametrize("command", ["scc", "bench"])
-    def test_rejected_when_unavailable(self, edge_path, capsys, monkeypatch,
-                                       command):
-        from repro.io import parallel
-
-        monkeypatch.setattr(parallel, "_processes_override", False)
-        code = main([command, str(edge_path), "--executor", "processes"])
-        assert code == 2
+    def test_rejected_as_unknown_choice(self, edge_path, capsys, command):
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, str(edge_path), "--executor", "processes"])
+        assert excinfo.value.code == 2
         err = capsys.readouterr().err
-        assert "processes" in err and "unavailable" in err
+        assert "invalid choice: 'processes'" in err
+        assert "Traceback" not in err
 
     def test_verbose_scc_reports_wall_by_phase(self, edge_path, capsys):
         assert main(["scc", str(edge_path), "-m", "300", "-b", "64",

@@ -27,7 +27,7 @@ from repro.analysis.planner import (
 from repro.core import ExtSCCConfig, compute_sccs
 from repro.graph.generators import cycle_graph
 from repro.io.codecs import CODECS
-from repro.io.parallel import EXECUTOR_BACKENDS, processes_available
+from repro.io.parallel import EXECUTOR_BACKENDS
 from repro.plan import PlanCache
 from repro.semi_external import SEMI_SCC_SOLVERS
 
@@ -65,15 +65,11 @@ def _calibrated_profile() -> CalibrationProfile:
 class TestEnumerateKnobs:
     def test_covers_full_grid(self):
         knobs = set(enumerate_knobs())
-        executors = [
-            e for e in EXECUTOR_BACKENDS
-            if e != "processes" or processes_available()
-        ]
         expected = {
             (codec, workers, executor, solver)
             for codec in CODECS
             for solver in SEMI_SCC_SOLVERS
-            for executor in executors
+            for executor in EXECUTOR_BACKENDS
             for workers in WORKER_OPTIONS
         }
         assert knobs == expected

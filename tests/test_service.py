@@ -2,6 +2,7 @@
 lookups, per-tenant session ledgers/throttling, daemon round trips."""
 
 import json
+import socket
 import threading
 
 import pytest
@@ -25,6 +26,7 @@ from repro.service import (
     TenantSession,
     build_store,
 )
+from repro.service.daemon import MAX_REQUEST_BYTES
 from repro.service.store import COND_EDGES_FILE, LABELS_FILE, META_NAME, TOPO_FILE
 
 
@@ -345,6 +347,42 @@ class TestDaemonRoundTrip:
             with pytest.raises(ServiceProtocolError):
                 client.request({"op": "scc-label", "session": session,
                                 "nodes": "zero"})
+
+    @staticmethod
+    def _raw_exchange(port: int, payload: bytes) -> list:
+        """Send raw bytes, half-close, return every reply line until EOF."""
+        with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+            sock.sendall(payload)
+            sock.shutdown(socket.SHUT_WR)
+            with sock.makefile("rb") as replies:
+                return [json.loads(line) for line in replies]
+
+    @staticmethod
+    def _ping_line(size: int) -> bytes:
+        """A ping request line of exactly ``size`` bytes, newline included."""
+        head, tail = b'{"op": "ping", "pad": "', b'"}\n'
+        return head + b"x" * (size - len(head) - len(tail)) + tail
+
+    def test_request_line_at_the_limit_is_served(self, served):
+        line = self._ping_line(MAX_REQUEST_BYTES)
+        assert len(line) == MAX_REQUEST_BYTES
+        replies = self._raw_exchange(served.address[1], line)
+        assert replies == [{"ok": True, "op": "ping"}]
+
+    @pytest.mark.parametrize("mib", [2, 16])
+    def test_oversized_request_line_is_refused(self, served, mib):
+        port = served.address[1]
+        # An over-long line, then a valid request the daemon must never
+        # answer: the refusal closes the connection.  At 16 MiB the client
+        # is still sending when the daemon replies; the reply must survive.
+        payload = self._ping_line(mib * MAX_REQUEST_BYTES) + b'{"op": "ping"}\n'
+        replies = self._raw_exchange(port, payload)
+        assert len(replies) == 1
+        assert replies[0]["ok"] is False
+        assert replies[0]["error"] == "protocol"
+        # The daemon still serves other clients.
+        with ServiceClient(port=port) as client:
+            assert client.ping()
 
     def test_throttled_round_trips_as_budget_error(self, store_dir):
         store = LabelStore(store_dir, cache_entries=0)
