@@ -9,81 +9,23 @@ canonical encodings.  Losing any *single* member (a CRC-failed block, a
 channel outage) is then recoverable: XOR the parity with the surviving
 members and decode.
 
-The canonical encoding is the same tagged int/tuple scheme the persistent
-backend stores on disk, so parity works for fixed-width record blocks and
-variable-record (nested tuple) blocks alike.  Encodings differ in length
+The canonical encoding is :func:`repro.io.persistent.encode_records`, the
+tagged int/tuple scheme the persistent backend stores in variable-record
+slots (this module re-exports it), so parity works for fixed-width record
+blocks and variable-record (nested tuple) blocks alike.  Encodings differ in length
 across blocks; XOR operands are zero-padded to the longest, and decoding
 reads a self-delimiting prefix, so the padding is inert.
 """
 
 from __future__ import annotations
 
-import struct
 import threading
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 from repro.exceptions import StorageError
+from repro.io.persistent import decode_records, encode_records
 
 __all__ = ["ParityStore", "encode_records", "decode_records", "xor_bytes"]
-
-_FIELD = struct.Struct("<q")
-_COUNT = struct.Struct("<I")
-_TAG_INT = b"\x00"
-_TAG_TUPLE = b"\x01"
-
-
-def _encode_obj(obj: object, parts: List[bytes]) -> None:
-    if isinstance(obj, tuple):
-        parts.append(_TAG_TUPLE)
-        parts.append(_COUNT.pack(len(obj)))
-        for item in obj:
-            _encode_obj(item, parts)
-    elif isinstance(obj, int):
-        parts.append(_TAG_INT)
-        parts.append(_FIELD.pack(obj))
-    else:
-        raise StorageError(
-            f"parity encoding covers nested int tuples, got {type(obj).__name__}"
-        )
-
-
-def _decode_obj(payload: bytes, offset: int) -> Tuple[object, int]:
-    tag = payload[offset : offset + 1]
-    offset += 1
-    if tag == _TAG_TUPLE:
-        (count,) = _COUNT.unpack_from(payload, offset)
-        offset += _COUNT.size
-        items = []
-        for _ in range(count):
-            item, offset = _decode_obj(payload, offset)
-            items.append(item)
-        return tuple(items), offset
-    if tag == _TAG_INT:
-        (value,) = _FIELD.unpack_from(payload, offset)
-        return value, offset + _FIELD.size
-    raise StorageError(f"corrupt parity reconstruction (tag {tag!r})")
-
-
-def encode_records(records: Sequence) -> bytes:
-    """Canonical, self-delimiting byte encoding of one record block."""
-    parts = [_COUNT.pack(len(records))]
-    for record in records:
-        _encode_obj(record, parts)
-    return b"".join(parts)
-
-
-def decode_records(data: bytes) -> Tuple:
-    """Inverse of :func:`encode_records`; trailing zero padding is ignored
-    (XOR reconstruction pads operands to the longest member)."""
-    if len(data) < _COUNT.size:
-        raise StorageError("parity reconstruction shorter than a block header")
-    (count,) = _COUNT.unpack_from(data, 0)
-    offset = _COUNT.size
-    records = []
-    for _ in range(count):
-        record, offset = _decode_obj(data, offset)
-        records.append(record)
-    return tuple(records)
 
 
 def xor_bytes(a: bytes, b: bytes) -> bytes:

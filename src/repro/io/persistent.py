@@ -7,29 +7,41 @@ the process.  The I/O ledger counts exactly the same block operations, so
 measurements carry over.
 
 Physical layout: each simulated file is one ``<name>.blk`` file of
-fixed-size block slots.  A slot holds a record-count header plus the
-records' integer fields, each stored as a little-endian ``int64``.  (The
-*accounted* record width stays the paper's 4-byte-id model — the model's
-byte arithmetic is about block capacity, not about Python's ability to
-overflow 32 bits.)  A ``manifest.json`` records every file's metadata so a
-device directory can be reopened later.
+fixed-size block slots.  A slot is a ``<I`` CRC32 of its payload followed
+by the payload: a ``<I`` record count, then ``count * fields`` ``<q``
+values (each record's integer fields in order), zero-padded to the slot
+size.  The count and the values are one struct, so a block is encoded
+with one ``pack`` and decoded with one ``unpack_from`` — one C call per
+block in each direction.  (The *accounted* record width stays the
+paper's 4-byte-id model — the model's byte arithmetic is about block
+capacity, not about Python's ability to overflow 32 bits.)  A
+``manifest.json`` records every file's metadata so a device directory
+can be reopened later.
 
 Record fields are ``record_size // 4`` integers per record — the invariant
 every record type in this package satisfies (ids, degrees, labels are all
 4-byte fields in the accounting model).  Variable-record files
 (``record_size == 1``, the substrate of :mod:`repro.io.varfile`) hold
-arbitrary nested int-tuple payloads instead; their slots store a recursive
-tagged encoding in a fixed-size slot sized from the accounting invariant
-that a var block's payloads never exceed ``block_size`` accounted bytes.
+arbitrary nested int-tuple payloads instead; their slots store the tagged
+encoding of :func:`encode_records` in a fixed-size slot sized from the
+accounting invariant that a var block's payloads never exceed
+``block_size`` accounted bytes.  The same encoding is the canonical block
+form that :mod:`repro.io.parity` XORs into stripe parity.
+
+Every slot read checks the CRC and that the count header fits the file's
+block capacity, so a torn, damaged or hand-crafted slot raises
+:class:`~repro.exceptions.CorruptBlockError` instead of decoding garbage.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import struct
 import threading
 import zlib
+from itertools import chain
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -43,6 +55,8 @@ __all__ = [
     "DeviceHandle",
     "ReadOnlyView",
     "open_shared",
+    "encode_records",
+    "decode_records",
 ]
 
 Record = Tuple[int, ...]
@@ -77,6 +91,22 @@ _TAG_TUPLE = b"\x01"
 _VAR_SLOT_FACTOR = 24
 
 
+@functools.lru_cache(maxsize=1024)
+def _slot_struct(values: int) -> struct.Struct:
+    """A fixed-width slot's count header plus ``values`` int64 fields."""
+    return struct.Struct(f"<I{values}q")
+
+
+def _first_non_int64(values) -> object:
+    """The first value that does not pack as a signed 64-bit field."""
+    for value in values:
+        try:
+            _FIELD.pack(value)
+        except struct.error:
+            return value
+    return None
+
+
 def _encode_obj(obj: object, parts: List[bytes]) -> None:
     if isinstance(obj, tuple):
         parts.append(_TAG_TUPLE)
@@ -85,10 +115,15 @@ def _encode_obj(obj: object, parts: List[bytes]) -> None:
             _encode_obj(item, parts)
     elif isinstance(obj, int):
         parts.append(_TAG_INT)
-        parts.append(_FIELD.pack(obj))
+        try:
+            parts.append(_FIELD.pack(obj))
+        except struct.error:
+            raise StorageError(
+                f"value {obj!r} is not a signed 64-bit integer"
+            ) from None
     else:
         raise StorageError(
-            f"persistent var files store nested int tuples, got {type(obj).__name__}"
+            f"the tagged encoding stores nested int tuples, got {type(obj).__name__}"
         )
 
 
@@ -106,7 +141,35 @@ def _decode_obj(payload: bytes, offset: int) -> Tuple[object, int]:
     if tag == _TAG_INT:
         (value,) = _FIELD.unpack_from(payload, offset)
         return value, offset + _FIELD.size
-    raise StorageError(f"corrupt var-record slot (tag {tag!r})")
+    raise StorageError(f"corrupt tagged encoding (tag {tag!r})")
+
+
+def encode_records(records: Sequence) -> bytes:
+    """Canonical, self-delimiting byte encoding of one record block: a
+    ``<I`` count, then each record's tagged int/tuple encoding.  It is the
+    body of a variable-record slot and the operand of stripe parity."""
+    parts = [_COUNT.pack(len(records))]
+    for record in records:
+        _encode_obj(record, parts)
+    return b"".join(parts)
+
+
+def decode_records(data: bytes) -> Tuple:
+    """Inverse of :func:`encode_records`; trailing zero padding is ignored
+    (slots are padded to their size, and XOR reconstruction pads operands
+    to the longest member)."""
+    if len(data) < _COUNT.size:
+        raise StorageError("tagged encoding shorter than a block header")
+    (count,) = _COUNT.unpack_from(data, 0)
+    offset = _COUNT.size
+    records = []
+    try:
+        for _ in range(count):
+            record, offset = _decode_obj(data, offset)
+            records.append(record)
+    except struct.error:
+        raise StorageError("corrupt tagged encoding (truncated)") from None
+    return tuple(records)
 
 
 def _safe_filename(name: str) -> str:
@@ -364,20 +427,30 @@ class PersistentBlockDevice(BlockDevice):
         return handle
 
     def _encode(self, f: PersistentDiskFile, records: Sequence[Record]) -> bytes:
-        parts = [_COUNT.pack(len(records))]
         if f.fields is None:
-            for record in records:
-                _encode_obj(record, parts)
+            try:
+                payload = encode_records(records)
+            except StorageError as exc:
+                raise StorageError(f"file {f.name!r}: {exc}") from None
         else:
-            for record in records:
-                if len(record) != f.fields:
-                    raise StorageError(
-                        f"record {record!r} has {len(record)} fields; file "
-                        f"{f.name!r} stores {f.fields}-field records"
-                    )
-                for value in record:
-                    parts.append(_FIELD.pack(value))
-        payload = b"".join(parts)
+            fields = f.fields
+            count = len(records)
+            if count and set(map(len, records)) != {fields}:
+                record = next(r for r in records if len(r) != fields)
+                raise StorageError(
+                    f"record {record!r} has {len(record)} fields; file "
+                    f"{f.name!r} stores {fields}-field records"
+                )
+            try:
+                payload = _slot_struct(count * fields).pack(
+                    count, *chain.from_iterable(records)
+                )
+            except struct.error:
+                value = _first_non_int64(chain.from_iterable(records))
+                raise StorageError(
+                    f"file {f.name!r}: value {value!r} is not a signed "
+                    f"64-bit integer"
+                ) from None
         room = f.slot_bytes - _CRC.size
         if len(payload) > room:
             raise StorageError(
@@ -394,22 +467,14 @@ class PersistentBlockDevice(BlockDevice):
         return _CRC.pack(checksum) + payload, checksum
 
     def _decode(self, f: PersistentDiskFile, payload: bytes) -> List[Record]:
-        (count,) = _COUNT.unpack_from(payload, 0)
-        records: List[Record] = []
-        offset = _COUNT.size
+        """Records of a slot payload whose count header :meth:`_read_slot`
+        has already bounded by the block capacity."""
         if f.fields is None:
-            for _ in range(count):
-                record, offset = _decode_obj(payload, offset)
-                records.append(record)  # type: ignore[arg-type]
-            return records
-        for _ in range(count):
-            fields = tuple(
-                _FIELD.unpack_from(payload, offset + i * _FIELD.size)[0]
-                for i in range(f.fields)
-            )
-            records.append(fields)
-            offset += f.fields * _FIELD.size
-        return records
+            return list(decode_records(payload))
+        (count,) = _COUNT.unpack_from(payload, 0)
+        values = iter(_slot_struct(count * f.fields).unpack_from(payload, 0))
+        next(values)  # the count header
+        return list(zip(*[values] * f.fields))
 
     def _append_impl(self, f: DiskFile, records: Sequence[Record]) -> None:
         assert isinstance(f, PersistentDiskFile)
@@ -426,7 +491,8 @@ class PersistentBlockDevice(BlockDevice):
         self._charge_write(f, f._num_blocks - 1, sequential=True)
 
     def _read_slot(self, f: PersistentDiskFile, index: int) -> bytes:
-        """Read and checksum-verify one slot; returns the payload bytes."""
+        """Read and checksum-verify one slot and bound its count header;
+        returns the payload bytes."""
         handle = self._handle(f)
         if isinstance(handle, int):
             slot = os.pread(handle, f.slot_bytes, index * f.slot_bytes)
@@ -434,7 +500,13 @@ class PersistentBlockDevice(BlockDevice):
             handle.seek(index * f.slot_bytes)
             slot = handle.read(f.slot_bytes)
         payload = slot[_CRC.size:]
-        if len(slot) < f.slot_bytes or _CRC.unpack_from(slot)[0] != zlib.crc32(payload):
+        if (
+            len(slot) < f.slot_bytes
+            or _CRC.unpack_from(slot)[0] != zlib.crc32(payload)
+            # A valid CRC over an impossible count: a crafted or foreign
+            # slot, never one this device sealed.
+            or _COUNT.unpack_from(payload)[0] > f.block_capacity
+        ):
             raise CorruptBlockError(f.name, index)
         return payload
 

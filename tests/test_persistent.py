@@ -1,17 +1,26 @@
 """Tests for the persistent (real-filesystem) block device."""
 
+import struct
+import tempfile
+import zlib
+from pathlib import Path
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tests.conftest import random_edges, reference_sccs
 
 from repro.core import ExtSCC, ExtSCCConfig
-from repro.exceptions import StorageError
+from repro.exceptions import CorruptBlockError, StorageError
 from repro.graph.edge_file import EdgeFile, NodeFile
 from repro.io.blocks import BlockDevice
 from repro.io.files import ExternalFile
 from repro.io.memory import MemoryBudget
-from repro.io.persistent import PersistentBlockDevice
+from repro.io.persistent import PersistentBlockDevice, encode_records, open_shared
 from repro.io.sort import external_sort
+
+INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
 
 
 @pytest.fixture
@@ -65,6 +74,31 @@ class TestBasicIO:
         f = pdevice.create("data", record_size=8)
         with pytest.raises(StorageError):
             pdevice.append_block(f, [(1, 2, 3)])
+        with pytest.raises(StorageError, match=r"\(3, 4, 5\) has 3 fields"):
+            pdevice.append_block(f, [(1, 2), (3, 4, 5)])
+
+    @pytest.mark.parametrize("value", [2**63, INT64_MIN - 1, 2**80])
+    def test_out_of_range_value_rejected(self, pdevice, value):
+        f = pdevice.create("data", record_size=8)
+        with pytest.raises(StorageError, match=rf"'data'.*{value}"):
+            pdevice.append_block(f, [(1, value)])
+        assert f.num_blocks == 0
+
+    def test_out_of_range_value_in_var_file_rejected(self, pdevice):
+        f = pdevice.create("var", record_size=1)
+        with pytest.raises(StorageError, match=rf"'var'.*{2**63}"):
+            pdevice.append_block(f, [(1, (2, 2**63))])
+
+    def test_var_slot_is_the_tagged_encoding(self, pdevice):
+        records = [(7, (1, 2, 3)), (-1, ())]
+        f = pdevice.create("var", record_size=1)
+        pdevice.append_block(f, records)
+        slot = f.path.read_bytes()
+        payload = slot[4:]
+        assert struct.unpack_from("<I", slot)[0] == zlib.crc32(payload)
+        encoded = encode_records(records)
+        assert payload == encoded.ljust(len(payload), b"\0")
+        assert list(pdevice.read_block(f, 0, sequential=True)) == records
 
 
 class TestNamespace:
@@ -329,3 +363,110 @@ class TestConcurrentReaders:
             t.join()
         assert not errors
         handle.close()
+
+
+def _rewrite_count_header(path: Path, slot_bytes: int, index: int, count: int) -> None:
+    """Hand-write slot ``index`` with a new count header and a CRC that
+    matches it: a slot that passes the checksum but lies about its size."""
+    with open(path, "r+b") as fh:
+        fh.seek(index * slot_bytes)
+        slot = fh.read(slot_bytes)
+        payload = struct.pack("<I", count) + slot[8:]
+        fh.seek(index * slot_bytes)
+        fh.write(struct.pack("<I", zlib.crc32(payload)) + payload)
+
+
+class TestBadCountHeader:
+    @pytest.mark.parametrize("record_size, count", [
+        (8, 9), (8, 2**32 - 1), (1, 65), (1, 2**32 - 1),
+    ])
+    def test_count_beyond_capacity_is_corrupt(self, tmp_path, record_size, count):
+        records = [(i, i) for i in range(8)] if record_size == 8 else [(1, (2,))]
+        with PersistentBlockDevice(tmp_path / "store", block_size=64) as device:
+            f = device.create("data", record_size)
+            device.append_block(f, records)
+            device.append_block(f, records)
+            path, slot_bytes = f.path, f.slot_bytes
+        _rewrite_count_header(path, slot_bytes, 1, count)
+        with open_shared(tmp_path / "store", 64) as handle:
+            view = handle.reader()
+            f = view.open("data")
+            assert list(view.read_block(f, 0, sequential=True)) == records
+            with pytest.raises(CorruptBlockError) as info:
+                view.read_block(f, 1, sequential=True)
+            assert (info.value.name, info.value.index) == ("data", 1)
+            assert view.stats.total == 1  # the corrupt read is not charged
+        reopened = PersistentBlockDevice(tmp_path / "store", block_size=64)
+        with pytest.raises(CorruptBlockError):
+            reopened.read_block(reopened.open("data"), 1, sequential=True)
+
+    def test_count_at_capacity_is_read(self, tmp_path):
+        """The bound is inclusive: a full block's header is legal."""
+        with PersistentBlockDevice(tmp_path / "store", block_size=64) as device:
+            f = device.create("data", 8)
+            device.append_block(f, [(i, -i) for i in range(3)])
+            path, slot_bytes = f.path, f.slot_bytes
+        _rewrite_count_header(path, slot_bytes, 0, 8)
+        with open_shared(tmp_path / "store", 64) as handle:
+            view = handle.reader()
+            block = view.read_block(view.open("data"), 0, sequential=True)
+        # The zero padding decodes as (0, 0) records.
+        assert list(block) == [(i, -i) for i in range(3)] + [(0, 0)] * 5
+
+
+# -- slot round trip ----------------------------------------------------------
+
+BLOCK_SIZE = 128
+
+
+def reference_slot_payload(records, fields: int) -> bytes:
+    """The fixed-width slot payload built one field at a time: a ``<I``
+    count, each field as ``<q``, zero-padded to the slot's capacity."""
+    capacity = BLOCK_SIZE // (4 * fields)
+    parts = [struct.pack("<I", len(records))]
+    for record in records:
+        for value in record:
+            parts.append(struct.pack("<q", value))
+    return b"".join(parts).ljust(4 + capacity * fields * 8, b"\0")
+
+
+@st.composite
+def slot_files(draw):
+    fields = draw(st.integers(1, 4))
+    capacity = BLOCK_SIZE // (4 * fields)
+    value = st.one_of(
+        st.sampled_from([INT64_MIN, INT64_MAX, -1, 0]),
+        st.integers(INT64_MIN, INT64_MAX),
+    )
+    block = st.lists(
+        st.tuples(*[value] * fields), min_size=1, max_size=capacity
+    )
+    return fields, draw(st.lists(block, min_size=1, max_size=3))
+
+
+class TestSlotRoundTrip:
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(slot_files())
+    @example((1, [[(INT64_MIN,), (INT64_MAX,)]]))
+    @example((4, [[(INT64_MAX, INT64_MIN, 0, -1)] * 8, [(1, 2, 3, 4)]]))
+    def test_encode_matches_reference_and_decodes_back(self, case):
+        fields, blocks = case
+        with tempfile.TemporaryDirectory() as tmp:
+            directory = Path(tmp) / "store"
+            with PersistentBlockDevice(directory, block_size=BLOCK_SIZE) as device:
+                f = device.create("data", 4 * fields)
+                for records in blocks:
+                    device.append_block(f, records)
+                for index, records in enumerate(blocks):
+                    assert device.read_block(f, index, sequential=True) == records
+                raw, slot_bytes = f.path.read_bytes(), f.slot_bytes
+            assert len(raw) == slot_bytes * len(blocks)
+            for index, records in enumerate(blocks):
+                slot = raw[index * slot_bytes:(index + 1) * slot_bytes]
+                assert slot[4:] == reference_slot_payload(records, fields)
+                assert struct.unpack_from("<I", slot)[0] == zlib.crc32(slot[4:])
+            with open_shared(directory, BLOCK_SIZE) as handle:
+                view = handle.reader()
+                f = view.open("data")
+                for index, records in enumerate(blocks):
+                    assert view.read_block(f, index, sequential=True) == records
